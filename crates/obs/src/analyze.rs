@@ -109,45 +109,65 @@ pub fn value_f64(v: &Value) -> Option<f64> {
     }
 }
 
-fn parse_one_event(v: &Value) -> Result<Option<ParsedEvent>, String> {
-    let map = v
-        .as_map()
-        .ok_or_else(|| format!("trace event is not an object: {v:?}"))?;
-    let field = |key: &str| serde::find_field(map, key);
-    let ph = match field("ph") {
+/// A parsed `args`/gauge map kept for the life of the analysis, without
+/// the parser's growth slack.
+fn fit(mut fields: Vec<(String, Value)>) -> Vec<(String, Value)> {
+    fields.shrink_to_fit();
+    fields
+}
+
+/// Take one event apart, moving its strings and `args` out of the parsed
+/// tree. Like [`serde::find_field`], the first occurrence of a key wins.
+fn parse_one_event(v: Value) -> Result<Option<ParsedEvent>, String> {
+    let Value::Map(map) = v else {
+        return Err(format!("trace event is not an object: {v:?}"));
+    };
+    let (mut ph, mut name, mut cat, mut args) = (None, None, None, None);
+    let (mut ts, mut dur, mut pid, mut tid) = (None, None, None, None);
+    for (key, value) in map {
+        let slot = match key.as_str() {
+            "ph" => &mut ph,
+            "name" => &mut name,
+            "cat" => &mut cat,
+            "args" => &mut args,
+            "ts" => &mut ts,
+            "dur" => &mut dur,
+            "pid" => &mut pid,
+            "tid" => &mut tid,
+            _ => continue,
+        };
+        if slot.is_none() {
+            *slot = Some(value);
+        }
+    }
+    let ph = match ph {
         Some(Value::Str(s)) => s.chars().next().unwrap_or('?'),
         _ => return Err("trace event without a \"ph\" phase".into()),
     };
     if ph == 'M' {
         return Ok(None); // metadata (process_name / thread_name)
     }
-    let name = match field("name") {
-        Some(Value::Str(s)) => s.clone(),
-        _ => return Err("trace event without a \"name\"".into()),
+    let Some(Value::Str(name)) = name else {
+        return Err("trace event without a \"name\"".into());
     };
-    let cat = match field("cat") {
-        Some(Value::Str(s)) => s.clone(),
+    let cat = match cat {
+        Some(Value::Str(s)) => s,
         _ => String::new(),
     };
-    let ts_us = field("ts")
-        .and_then(value_u64)
-        .ok_or_else(|| format!("event \"{name}\" without an integer \"ts\""))?;
-    let dur_us = field("dur").and_then(value_u64).unwrap_or(0);
-    let pid = field("pid").and_then(value_u64).unwrap_or(0) as u32;
-    let tid = field("tid").and_then(value_u64).unwrap_or(0) as u32;
-    let args = match field("args") {
-        Some(Value::Map(m)) => m.clone(),
-        _ => Vec::new(),
-    };
+    let int = |v: Option<Value>| v.as_ref().and_then(value_u64);
+    let ts_us = int(ts).ok_or_else(|| format!("event \"{name}\" without an integer \"ts\""))?;
     Ok(Some(ParsedEvent {
         name,
         cat,
         ph,
         ts_us,
-        dur_us,
-        pid,
-        tid,
-        args,
+        dur_us: int(dur).unwrap_or(0),
+        pid: int(pid).unwrap_or(0) as u32,
+        tid: int(tid).unwrap_or(0) as u32,
+        args: match args {
+            Some(Value::Map(m)) => fit(m),
+            _ => Vec::new(),
+        },
     }))
 }
 
@@ -158,17 +178,34 @@ fn parse_one_event(v: &Value) -> Result<Option<ParsedEvent>, String> {
 /// # Errors
 /// Malformed JSON or events missing required fields.
 pub fn parse_trace(text: &str) -> Result<Vec<ParsedEvent>, String> {
-    let trimmed = text.trim_start();
     let mut out = Vec::new();
+    for_each_event(text, |ev| {
+        out.push(ev);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Parse a trace as [`parse_trace`] does, handing each event to `f` as
+/// soon as it is parsed instead of keeping it. The first error, from the
+/// parse or from `f`, stops the walk.
+fn for_each_event(
+    text: &str,
+    mut f: impl FnMut(ParsedEvent) -> Result<(), String>,
+) -> Result<(), String> {
+    let trimmed = text.trim_start();
     if trimmed.starts_with("{\"displayTimeUnit\"") || trimmed.starts_with("{\"traceEvents\"") {
         let doc: Value = serde_json::from_str(trimmed).map_err(|e| format!("trace JSON: {e}"))?;
-        let map = doc.as_map().ok_or("trace document is not an object")?;
-        let events = serde::find_field(map, "traceEvents")
-            .and_then(Value::as_seq)
-            .ok_or("trace document without a \"traceEvents\" array")?;
+        let Value::Map(map) = doc else {
+            return Err("trace document is not an object".into());
+        };
+        let Some((_, Value::Seq(events))) = map.into_iter().find(|(k, _)| k == "traceEvents")
+        else {
+            return Err("trace document without a \"traceEvents\" array".into());
+        };
         for ev in events {
             if let Some(parsed) = parse_one_event(ev)? {
-                out.push(parsed);
+                f(parsed)?;
             }
         }
     } else {
@@ -178,12 +215,12 @@ pub fn parse_trace(text: &str) -> Result<Vec<ParsedEvent>, String> {
             }
             let v: Value =
                 serde_json::from_str(line).map_err(|e| format!("trace line {}: {e}", i + 1))?;
-            if let Some(parsed) = parse_one_event(&v)? {
-                out.push(parsed);
+            if let Some(parsed) = parse_one_event(v)? {
+                f(parsed)?;
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// One gauge row parsed back from a metrics JSONL export.
@@ -250,11 +287,11 @@ pub fn parse_metrics(text: &str) -> Result<Vec<GaugeRow>, String> {
         }
         let v: Value =
             serde_json::from_str(line).map_err(|e| format!("metrics line {}: {e}", i + 1))?;
-        let map = v
-            .as_map()
-            .ok_or_else(|| format!("metrics line {} is not an object", i + 1))?;
+        let Value::Map(fields) = v else {
+            return Err(format!("metrics line {} is not an object", i + 1));
+        };
         out.push(GaugeRow {
-            fields: map.to_vec(),
+            fields: fit(fields),
         });
     }
     Ok(out)
@@ -479,6 +516,144 @@ fn class_at(id: u64, class: u64, classes: &mut Vec<ClassRecount>) -> usize {
     classes.len() - 1
 }
 
+const NO_WINDOW: &str = "trace has no \"window\" meta event — not a serve-layer trace";
+
+fn is_window(ev: &ParsedEvent) -> bool {
+    ev.name == "window" && ev.cat == "meta"
+}
+
+/// The running state of a serving recount: events fold in one at a time
+/// once the measurement window is known.
+struct Recount {
+    start_us: u64,
+    end_us: u64,
+    services: Vec<ServiceRecount>,
+    classes: Vec<ClassRecount>,
+    tenants: Vec<TenantRecount>,
+}
+
+impl Recount {
+    fn new(window: &ParsedEvent) -> Result<Self, String> {
+        Ok(Recount {
+            start_us: window
+                .arg_u64("start_us")
+                .ok_or("window event without start_us")?,
+            end_us: window
+                .arg_u64("end_us")
+                .ok_or("window event without end_us")?,
+            services: Vec::new(),
+            classes: Vec::new(),
+            tenants: Vec::new(),
+        })
+    }
+
+    fn in_window(&self, ts_us: u64) -> bool {
+        ts_us >= self.start_us && ts_us < self.end_us
+    }
+
+    fn add(&mut self, ev: &ParsedEvent) -> Result<(), String> {
+        // Resilience instants (timeouts, retries, sheds, hedges) recount
+        // against the report's per-service counters with the engine's
+        // window gate: the counters only increment at `ts ∈ [start, end)`.
+        if ev.cat == "resilience" && ev.ph == 'i' {
+            if !self.in_window(ev.ts_us) {
+                return Ok(());
+            }
+            let id = ev
+                .arg_u64("service")
+                .ok_or_else(|| format!("{} at ts={} missing service", ev.name, ev.ts_us))?;
+            let si = service_at(id, &mut self.services);
+            let s = &mut self.services[si];
+            match ev.name.as_str() {
+                "timeout" => s.timeouts += 1,
+                "retry" => s.retries += 1,
+                "shed" => s.shed += 1,
+                "hedge" => s.hedges += 1,
+                "hedge-win" => s.hedge_wins += 1,
+                _ => {}
+            }
+            return Ok(());
+        }
+        if ev.cat != "request" {
+            return Ok(());
+        }
+        // Arrivals count at their instant; a request counts in the window
+        // its completion (the span's end) lands in.
+        let arrival = ev.name == "arrival" && ev.ph == 'i';
+        let at_us = if arrival {
+            ev.ts_us
+        } else if ev.name == "request" && ev.ph == 'X' {
+            ev.end_us()
+        } else {
+            return Ok(());
+        };
+        if !self.in_window(at_us) {
+            return Ok(());
+        }
+        let (services, classes, tenants) =
+            (&mut self.services, &mut self.classes, &mut self.tenants);
+        if arrival {
+            let (Some(id), Some(class)) = (ev.arg_u64("service"), ev.arg_u64("class")) else {
+                return Err(format!("arrival at ts={} missing service/class", ev.ts_us));
+            };
+            let si = service_at(id, services);
+            services[si].offered += 1;
+            let ci = class_at(id, class, classes);
+            classes[ci].offered += 1;
+            if ev.arg_bool("rejected") == Some(true) {
+                services[si].rejected += 1;
+            }
+            if let Some(tid) = ev.arg_u64("tenant") {
+                let ti = tenant_at(tid, tenants);
+                tenants[ti].offered += 1;
+                if ev.arg_bool("rejected") == Some(true) {
+                    tenants[ti].rejected += 1;
+                } else {
+                    tenants[ti].admitted += 1;
+                }
+            }
+        } else {
+            let (Some(id), Some(class)) = (ev.arg_u64("service"), ev.arg_u64("class")) else {
+                return Err(format!("request at ts={} missing service/class", ev.ts_us));
+            };
+            let lat_ms = ev
+                .arg_f64("latency_ms")
+                .ok_or_else(|| format!("request at ts={} missing latency_ms", ev.ts_us))?;
+            let ok = ev
+                .arg_bool("ok")
+                .ok_or_else(|| format!("request at ts={} missing ok", ev.ts_us))?;
+            let si = service_at(id, services);
+            services[si].completed += 1;
+            services[si].completed_within_slo += u64::from(ok);
+            services[si].latency.record_ms(lat_ms);
+            let ci = class_at(id, class, classes);
+            classes[ci].completed += 1;
+            classes[ci].completed_within_slo += u64::from(ok);
+            classes[ci].latency.record_ms(lat_ms);
+            if let Some(tid) = ev.arg_u64("tenant") {
+                let ti = tenant_at(tid, tenants);
+                tenants[ti].completed += 1;
+                tenants[ti].completed_within_slo += u64::from(ok);
+                tenants[ti].latency.record_ms(lat_ms);
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(mut self) -> ServingRecount {
+        self.services.sort_by_key(|s| s.service_id);
+        self.classes.sort_by_key(|c| (c.service_id, c.class));
+        self.tenants.sort_by_key(|t| t.tenant);
+        ServingRecount {
+            window_start_us: self.start_us,
+            window_end_us: self.end_us,
+            services: self.services,
+            classes: self.classes,
+            tenants: self.tenants,
+        }
+    }
+}
+
 /// Recompute the serving report's accounting from request spans.
 ///
 /// Replays the exact window discipline of the event loop: `offered`
@@ -495,111 +670,41 @@ fn class_at(id: u64, class: u64, classes: &mut Vec<ClassRecount>) -> usize {
 /// # Errors
 /// A trace without the `window` meta instant (not a serve-layer trace).
 pub fn recompute_serving(events: &[ParsedEvent]) -> Result<ServingRecount, String> {
-    let window = events
-        .iter()
-        .find(|e| e.name == "window" && e.cat == "meta")
-        .ok_or("trace has no \"window\" meta event — not a serve-layer trace")?;
-    let start_us = window
-        .arg_u64("start_us")
-        .ok_or("window event without start_us")?;
-    let end_us = window
-        .arg_u64("end_us")
-        .ok_or("window event without end_us")?;
-
-    let mut services: Vec<ServiceRecount> = Vec::new();
-    let mut classes: Vec<ClassRecount> = Vec::new();
-    let mut tenants: Vec<TenantRecount> = Vec::new();
-
+    let window = events.iter().find(|e| is_window(e)).ok_or(NO_WINDOW)?;
+    let mut recount = Recount::new(window)?;
     for ev in events {
-        // Resilience instants (timeouts, retries, sheds, hedges) recount
-        // against the report's per-service counters with the engine's
-        // window gate: the counters only increment at `ts ∈ [start, end)`.
-        if ev.cat == "resilience" && ev.ph == 'i' {
-            if ev.ts_us < start_us || ev.ts_us >= end_us {
-                continue;
-            }
-            let id = ev
-                .arg_u64("service")
-                .ok_or_else(|| format!("{} at ts={} missing service", ev.name, ev.ts_us))?;
-            let si = service_at(id, &mut services);
-            match ev.name.as_str() {
-                "timeout" => services[si].timeouts += 1,
-                "retry" => services[si].retries += 1,
-                "shed" => services[si].shed += 1,
-                "hedge" => services[si].hedges += 1,
-                "hedge-win" => services[si].hedge_wins += 1,
-                _ => {}
-            }
-            continue;
-        }
-        if ev.cat != "request" {
-            continue;
-        }
-        if ev.name == "arrival" && ev.ph == 'i' {
-            if ev.ts_us < start_us || ev.ts_us >= end_us {
-                continue;
-            }
-            let (Some(id), Some(class)) = (ev.arg_u64("service"), ev.arg_u64("class")) else {
-                return Err(format!("arrival at ts={} missing service/class", ev.ts_us));
-            };
-            let si = service_at(id, &mut services);
-            services[si].offered += 1;
-            let ci = class_at(id, class, &mut classes);
-            classes[ci].offered += 1;
-            if ev.arg_bool("rejected") == Some(true) {
-                services[si].rejected += 1;
-            }
-            if let Some(tid) = ev.arg_u64("tenant") {
-                let ti = tenant_at(tid, &mut tenants);
-                tenants[ti].offered += 1;
-                if ev.arg_bool("rejected") == Some(true) {
-                    tenants[ti].rejected += 1;
-                } else {
-                    tenants[ti].admitted += 1;
-                }
-            }
-        } else if ev.name == "request" && ev.ph == 'X' {
-            // The completion time is the span's end; the report counts a
-            // request in the window its completion lands in.
-            let done_us = ev.end_us();
-            if done_us < start_us || done_us >= end_us {
-                continue;
-            }
-            let (Some(id), Some(class)) = (ev.arg_u64("service"), ev.arg_u64("class")) else {
-                return Err(format!("request at ts={} missing service/class", ev.ts_us));
-            };
-            let lat_ms = ev
-                .arg_f64("latency_ms")
-                .ok_or_else(|| format!("request at ts={} missing latency_ms", ev.ts_us))?;
-            let ok = ev
-                .arg_bool("ok")
-                .ok_or_else(|| format!("request at ts={} missing ok", ev.ts_us))?;
-            let si = service_at(id, &mut services);
-            services[si].completed += 1;
-            services[si].completed_within_slo += u64::from(ok);
-            services[si].latency.record_ms(lat_ms);
-            let ci = class_at(id, class, &mut classes);
-            classes[ci].completed += 1;
-            classes[ci].completed_within_slo += u64::from(ok);
-            classes[ci].latency.record_ms(lat_ms);
-            if let Some(tid) = ev.arg_u64("tenant") {
-                let ti = tenant_at(tid, &mut tenants);
-                tenants[ti].completed += 1;
-                tenants[ti].completed_within_slo += u64::from(ok);
-                tenants[ti].latency.record_ms(lat_ms);
-            }
-        }
+        recount.add(ev)?;
     }
-    services.sort_by_key(|s| s.service_id);
-    classes.sort_by_key(|c| (c.service_id, c.class));
-    tenants.sort_by_key(|t| t.tenant);
-    Ok(ServingRecount {
-        window_start_us: start_us,
-        window_end_us: end_us,
-        services,
-        classes,
-        tenants,
-    })
+    Ok(recount.finish())
+}
+
+/// [`recompute_serving`] straight from trace text: each event is counted
+/// as it is parsed and then dropped, so memory stays flat in trace
+/// length. Events before the `window` instant (the serve layer emits it
+/// first) are held until it arrives.
+///
+/// # Errors
+/// Any [`parse_trace`] or [`recompute_serving`] failure.
+pub fn recount_trace(text: &str) -> Result<ServingRecount, String> {
+    let mut recount: Option<Recount> = None;
+    let mut early: Vec<ParsedEvent> = Vec::new();
+    for_each_event(text, |ev| match &mut recount {
+        Some(r) => r.add(&ev),
+        None if is_window(&ev) => {
+            let mut r = Recount::new(&ev)?;
+            for e in early.drain(..) {
+                r.add(&e)?;
+            }
+            r.add(&ev)?;
+            recount = Some(r);
+            Ok(())
+        }
+        None => {
+            early.push(ev);
+            Ok(())
+        }
+    })?;
+    Ok(recount.ok_or(NO_WINDOW)?.finish())
 }
 
 /// Aggregate over all spans sharing one `(cat, name)`.
@@ -1047,6 +1152,21 @@ mod tests {
         assert_eq!(r.service(0).unwrap().rejected, 1);
         assert_eq!(r.service(1).unwrap().rejected, 0);
         assert!(r.tenant(3).is_none());
+    }
+
+    #[test]
+    fn recount_trace_matches_recompute_over_parsed_events() {
+        let mut evs = synthetic_trace();
+        // Window no longer first: the events before it are held, then
+        // counted in order once it arrives.
+        evs.rotate_left(3);
+        for text in [trace_jsonl(&evs), crate::chrome_trace_json(&evs)] {
+            let streamed = recount_trace(&text).unwrap();
+            let batch = recompute_serving(&parse_trace(&text).unwrap()).unwrap();
+            assert_eq!(format!("{streamed:?}"), format!("{batch:?}"));
+        }
+        let err = recount_trace(&trace_jsonl(&synthetic_trace()[1..])).unwrap_err();
+        assert!(err.contains("no \"window\""), "{err}");
     }
 
     #[test]

@@ -7,54 +7,26 @@
 //! the Chrome trace format expects for `ts`/`dur`.
 
 use crate::trace::TraceEvent;
+use std::fmt::Write as _;
 
-fn write_args(out: &mut String, ev: &TraceEvent) {
-    out.push_str("\"args\":{");
-    for (i, (k, v)) in ev.args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        out.push_str(&crate::json_escape(k));
-        out.push_str("\":");
-        out.push_str(&v.to_json());
-    }
-    out.push('}');
-}
-
-/// Render one event as its canonical JSON object — exactly the fragment
+/// Append one event as its canonical JSON object — exactly the fragment
 /// [`chrome_trace_json`] and [`trace_jsonl`] embed, so a streaming sink
 /// writing these lines is byte-equivalent to the batch exporters.
-#[must_use]
-pub fn event_json(ev: &TraceEvent) -> String {
-    let mut out = String::with_capacity(96);
-    write_event(&mut out, ev);
-    out
-}
-
-fn write_event(out: &mut String, ev: &TraceEvent) {
+pub(crate) fn write_event(out: &mut String, ev: &TraceEvent) {
     out.push_str("{\"name\":\"");
-    out.push_str(&crate::json_escape(ev.name));
+    crate::push_escaped(out, ev.name);
     out.push_str("\",\"cat\":\"");
-    out.push_str(&crate::json_escape(ev.cat));
-    out.push_str("\",\"ph\":\"");
-    out.push(ev.ph.code());
-    out.push_str("\",\"ts\":");
-    out.push_str(&ev.ts_us.to_string());
+    crate::push_escaped(out, ev.cat);
+    let _ = write!(out, "\",\"ph\":\"{}\",\"ts\":{}", ev.ph.code(), ev.ts_us);
     if ev.ph == crate::Phase::Complete {
-        out.push_str(",\"dur\":");
-        out.push_str(&ev.dur_us.to_string());
+        let _ = write!(out, ",\"dur\":{}", ev.dur_us);
     } else {
         // Instant events need a scope; "t" (thread) keeps them on their
         // track instead of full-height global markers.
         out.push_str(",\"s\":\"t\"");
     }
-    out.push_str(",\"pid\":");
-    out.push_str(&ev.pid.to_string());
-    out.push_str(",\"tid\":");
-    out.push_str(&ev.tid.to_string());
-    out.push(',');
-    write_args(out, ev);
+    let _ = write!(out, ",\"pid\":{},\"tid\":{},\"args\":", ev.pid, ev.tid);
+    crate::trace::write_fields(out, &ev.args);
     out.push('}');
 }
 
@@ -66,7 +38,6 @@ fn write_event(out: &mut String, ev: &TraceEvent) {
 /// Loadable directly in Perfetto / `chrome://tracing`.
 #[must_use]
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    use std::fmt::Write as _;
     let mut pids: Vec<u32> = Vec::new();
     let mut tracks: Vec<(u32, u32)> = Vec::new();
     for ev in events {
@@ -183,15 +154,6 @@ mod tests {
         let meta = doc.find("\"thread_name\"").unwrap();
         let first_ev = doc.find("\"execute\"").unwrap();
         assert!(meta < first_ev);
-    }
-
-    #[test]
-    fn event_json_matches_jsonl_lines() {
-        let evs = sample_events();
-        let jsonl = trace_jsonl(&evs);
-        for (line, ev) in jsonl.lines().zip(&evs) {
-            assert_eq!(line, event_json(ev));
-        }
     }
 
     #[test]

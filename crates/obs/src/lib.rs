@@ -44,7 +44,7 @@ mod recorder;
 mod stream;
 mod trace;
 
-pub use chrome::{chrome_trace_json, event_json, trace_jsonl};
+pub use chrome::{chrome_trace_json, trace_jsonl};
 pub use metrics::{MetricsLog, Row};
 pub use profile::{PhaseStat, ProfToken, SelfProfiler};
 pub use recorder::Recorder;
@@ -117,40 +117,62 @@ impl TraceSink for NullSink {
 /// non-finite values clamped to `0` so the output is always valid JSON.
 #[must_use]
 pub fn fmt_f64(v: f64) -> String {
+    let mut out = String::new();
+    push_f64(&mut out, v);
+    out
+}
+
+/// Append `v` in the [`fmt_f64`] form, without a temporary `String`.
+pub(crate) fn push_f64(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
     if v.is_finite() {
-        let s = format!("{v}");
+        let start = out.len();
+        let _ = write!(out, "{v}");
         // `Display` prints integral floats without a fractional part
         // ("3"); keep them unmistakably numeric-but-real in JSON ("3.0")
         // so readers that sniff types stay stable.
-        if s.contains('.') || s.contains('e') || s.contains("inf") {
-            s
-        } else {
-            format!("{s}.0")
+        if !out[start..].contains(['.', 'e']) {
+            out.push_str(".0");
         }
     } else {
-        "0.0".to_string()
+        out.push_str("0.0");
     }
 }
 
 /// Escape a string for inclusion in a JSON document.
 #[must_use]
 pub fn json_escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
     out
+}
+
+/// Append `s` JSON-escaped (without quotes), without a temporary
+/// `String`. Runs that need no escape — usually all of `s` — are copied
+/// with one `push_str`; every byte that does is ASCII, so run boundaries
+/// are char boundaries.
+pub(crate) fn push_escaped(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let esc = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if esc.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(esc);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 #[cfg(test)]
@@ -179,6 +201,11 @@ mod tests {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(json_escape("\u{1}"), "\\u0001");
         assert_eq!(json_escape("plain"), "plain");
+        assert_eq!(json_escape("\u{1f}é\u{7f}🚀\r\t"), "\\u001fé\u{7f}🚀\\r\\t");
+        let mut out = String::from("x");
+        push_escaped(&mut out, "\"");
+        push_f64(&mut out, 2.0);
+        assert_eq!(out, "x\\\"2.0");
     }
 
     #[test]

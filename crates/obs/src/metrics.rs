@@ -76,18 +76,14 @@ impl Row {
     /// Render as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            out.push_str(&crate::json_escape(k));
-            out.push_str("\":");
-            out.push_str(&v.to_json());
-        }
-        out.push('}');
+        let mut out = String::new();
+        self.write_json(&mut out);
         out
+    }
+
+    /// Append as one JSON object, without temporaries.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        crate::trace::write_fields(out, &self.fields);
     }
 }
 
@@ -132,7 +128,7 @@ impl MetricsLog {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for row in &self.rows {
-            out.push_str(&row.to_json());
+            row.write_json(&mut out);
             out.push('\n');
         }
         out

@@ -13,8 +13,9 @@
 //! <dir>/stream.done           finalize marker + run stats JSON
 //! ```
 //!
-//! Lines are rendered with the exact same renderers the batch exporters
-//! use ([`crate::event_json`], [`crate::Row::to_json`]), so for a run
+//! Lines are rendered straight into the lane buffer by the exact same
+//! renderers the batch exporters use ([`crate::trace_jsonl`],
+//! [`crate::MetricsLog::to_jsonl`]), so for a run
 //! with retention off, concatenating a lane's shards in index order is
 //! **byte-equivalent** to the `Recorder`'s batch export of the same run
 //! (`trace_jsonl` / `metrics_jsonl`) — pinned across the whole spec
@@ -186,13 +187,14 @@ impl Lane {
         Ok(())
     }
 
-    /// Append one rendered line, rotating/flushing per policy first.
+    /// Append one line, rendered by `render` straight into the buffer,
+    /// rotating/flushing per policy first.
     fn push_line(
         &mut self,
         dir: &Path,
         cfg: &StreamConfig,
-        line: &str,
         ts_us: u64,
+        render: impl FnOnce(&mut String),
     ) -> std::io::Result<()> {
         if self.should_rotate(cfg, ts_us) {
             self.flush(dir, cfg)?;
@@ -204,7 +206,7 @@ impl Lane {
         if self.first_ts_us.is_none() {
             self.first_ts_us = Some(ts_us);
         }
-        self.buf.push_str(line);
+        render(&mut self.buf);
         self.buf.push('\n');
         self.buf_lines += 1;
         self.lines_in_shard += 1;
@@ -340,9 +342,11 @@ impl TraceSink for StreamSink {
     const ENABLED: bool = true;
 
     fn emit(&mut self, ev: TraceEvent) {
-        let line = crate::chrome::event_json(&ev);
-        let ts = ev.ts_us;
-        let res = self.trace.push_line(&self.dir, &self.config, &line, ts);
+        let res = self
+            .trace
+            .push_line(&self.dir, &self.config, ev.ts_us, |buf| {
+                crate::chrome::write_event(buf, &ev);
+            });
         self.record_io(res);
     }
 
@@ -356,8 +360,9 @@ impl TraceSink for StreamSink {
             Some(id) => row.with_run(id),
             None => row,
         };
-        let line = row.to_json();
-        let res = self.metrics.push_line(&self.dir, &self.config, &line, 0);
+        let res = self
+            .metrics
+            .push_line(&self.dir, &self.config, 0, |buf| row.write_json(buf));
         self.record_io(res);
     }
 

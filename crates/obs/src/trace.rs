@@ -39,15 +39,23 @@ pub enum ArgValue {
 }
 
 impl ArgValue {
-    /// Render as a JSON value fragment.
-    #[must_use]
-    pub fn to_json(&self) -> String {
+    /// Append as a JSON value fragment.
+    pub(crate) fn write_json(&self, out: &mut String) {
+        use std::fmt::Write as _;
         match self {
-            ArgValue::U64(v) => v.to_string(),
-            ArgValue::I64(v) => v.to_string(),
-            ArgValue::F64(v) => crate::fmt_f64(*v),
-            ArgValue::Str(s) => format!("\"{}\"", crate::json_escape(s)),
-            ArgValue::Bool(b) => b.to_string(),
+            ArgValue::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            ArgValue::I64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            ArgValue::F64(v) => crate::push_f64(out, *v),
+            ArgValue::Str(s) => {
+                out.push('"');
+                crate::push_escaped(out, s);
+                out.push('"');
+            }
+            ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
     }
 
@@ -60,9 +68,29 @@ impl ArgValue {
                 format!("\"{}\"", s.replace('"', "\"\""))
             }
             ArgValue::Str(s) => s.clone(),
-            other => other.to_json(),
+            other => {
+                let mut out = String::new();
+                other.write_json(&mut out);
+                out
+            }
         }
     }
+}
+
+/// Append ordered key/value fields as one JSON object — the `args` of a
+/// trace event and the body of a gauge row.
+pub(crate) fn write_fields(out: &mut String, fields: &[(&'static str, ArgValue)]) {
+    out.push('{');
+    for (i, (k, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('"');
+        crate::push_escaped(out, k);
+        out.push_str("\":");
+        v.write_json(out);
+    }
+    out.push('}');
 }
 
 /// One structured trace event in simulation time.
@@ -224,11 +252,16 @@ mod tests {
 
     #[test]
     fn arg_values_render_as_json() {
-        assert_eq!(ArgValue::U64(3).to_json(), "3");
-        assert_eq!(ArgValue::I64(-2).to_json(), "-2");
-        assert_eq!(ArgValue::F64(1.25).to_json(), "1.25");
-        assert_eq!(ArgValue::Str("a\"b".into()).to_json(), "\"a\\\"b\"");
-        assert_eq!(ArgValue::Bool(false).to_json(), "false");
+        let json = |v: ArgValue| {
+            let mut out = String::new();
+            v.write_json(&mut out);
+            out
+        };
+        assert_eq!(json(ArgValue::U64(3)), "3");
+        assert_eq!(json(ArgValue::I64(-2)), "-2");
+        assert_eq!(json(ArgValue::F64(1.25)), "1.25");
+        assert_eq!(json(ArgValue::Str("a\"b".into())), "\"a\\\"b\"");
+        assert_eq!(json(ArgValue::Bool(false)), "false");
     }
 
     #[test]

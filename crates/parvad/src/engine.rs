@@ -463,6 +463,7 @@ mod tests {
     use crate::GaugeLog;
     use parva_obs::NullSink;
     use parva_perf::Model;
+    use proptest::prelude::*;
 
     fn boot(policy: AutoscalePolicy) -> Daemon {
         let specs = vec![
@@ -567,5 +568,42 @@ mod tests {
             serde_json::to_string(&control.status()).unwrap(),
             serde_json::to_string(&resumed.status()).unwrap()
         );
+    }
+
+    /// A real checkpoint envelope, encoded once for the corruption
+    /// properties below.
+    fn frozen() -> &'static str {
+        static DOC: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        DOC.get_or_init(|| {
+            let mut d = boot(AutoscalePolicy::default());
+            for _ in 0..3 {
+                d.step(&mut NullSink);
+            }
+            crate::checkpoint::encode_checkpoint(&d).unwrap()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A truncated checkpoint is refused with an error, and a
+        /// byte-flipped one decodes or is refused: neither panics.
+        #[test]
+        fn corrupt_checkpoints_never_panic(
+            cut in any::<prop::sample::Index>(),
+            at in any::<prop::sample::Index>(),
+            byte in any::<u8>(),
+        ) {
+            let doc = frozen();
+            if let Some(prefix) = doc.get(..cut.index(doc.len())) {
+                prop_assert!(crate::checkpoint::decode_checkpoint::<Daemon>(prefix).is_err());
+            }
+            let mut bytes = doc.as_bytes().to_vec();
+            let i = at.index(bytes.len());
+            bytes[i] = byte;
+            if let Ok(mutated) = String::from_utf8(bytes) {
+                let _ = crate::checkpoint::decode_checkpoint::<Daemon>(&mutated);
+            }
+        }
     }
 }

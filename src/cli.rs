@@ -944,12 +944,11 @@ impl Audit {
 }
 
 /// Serve-mode audit: replay the trace's request spans through
-/// [`crate::obs::analyze::recompute_serving`] and compare every counter,
+/// [`crate::obs::analyze::recount_trace`] and compare every counter,
 /// attainment and latency quantile against the report.
 fn audit_serve(trace: &str, report: &ServingReport, audit: &mut Audit) -> Result<(), String> {
     use crate::obs::analyze;
-    let events = analyze::parse_trace(trace)?;
-    let rc = analyze::recompute_serving(&events)?;
+    let rc = analyze::recount_trace(trace)?;
     for s in &report.services {
         let id = u64::from(s.service_id);
         let what = format!("service #{id}");
@@ -1488,6 +1487,33 @@ pub fn run_scenarios() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::{Path, PathBuf};
+
+    /// A scratch directory owned by one test and removed when dropped; the
+    /// pid and a counter in its name keep concurrent tests apart.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(label: &str) -> Self {
+            static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let path =
+                std::env::temp_dir().join(format!("parva-{label}-{}-{n}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&path);
+            std::fs::create_dir_all(&path).unwrap();
+            TempDir(path)
+        }
+
+        fn path(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 
     const GOOD: &str = r#"[
         {"model": "ResNet-50", "rate_rps": 829.0, "slo_ms": 205.0},
@@ -1685,8 +1711,8 @@ mod tests {
 
     #[test]
     fn run_spec_with_writes_deterministic_artifacts() {
-        let dir = std::env::temp_dir().join("parva-cli-obs-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("cli-obs-test");
+        let dir = tmp.path();
         let path = |n: &str| dir.join(n).to_string_lossy().into_owned();
         let obs = ObsPaths {
             trace: Some(path("trace.json")),
@@ -1718,8 +1744,8 @@ mod tests {
 
     #[test]
     fn run_spec_with_json_keeps_stdout_machine_pure() {
-        let dir = std::env::temp_dir().join("parva-cli-obs-json-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("cli-obs-json-test");
+        let dir = tmp.path();
         let obs = ObsPaths {
             trace: Some(dir.join("t.json").to_string_lossy().into_owned()),
             ..ObsPaths::default()
@@ -1748,10 +1774,9 @@ mod tests {
 
     #[test]
     fn streamed_run_audits_summarizes_and_tails() {
-        let dir = std::env::temp_dir().join("parva-cli-stream-test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("cli-stream-test");
+        let dir = tmp.path();
         let shard_dir = dir.join("shards").to_string_lossy().into_owned();
-        std::fs::create_dir_all(&dir).unwrap();
         let obs = ObsPaths {
             stream: Some(shard_dir.clone()),
             ..ObsPaths::default()
@@ -1797,10 +1822,9 @@ mod tests {
 
     #[test]
     fn streamed_fleet_run_audit_checks_gauge_rows() {
-        let dir = std::env::temp_dir().join("parva-cli-stream-fleet-test");
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("cli-stream-fleet-test");
+        let dir = tmp.path();
         let shard_dir = dir.join("shards").to_string_lossy().into_owned();
-        std::fs::create_dir_all(&dir).unwrap();
         let obs = ObsPaths {
             stream: Some(shard_dir.clone()),
             ..ObsPaths::default()

@@ -9,13 +9,14 @@
 //! 3. the stream finalizes cleanly (`stream.done`, stats consistent
 //!    with what landed on disk).
 
+mod common;
+
+use common::TempDir;
 use parvagpu::obs::read_concat_shards;
 use parvagpu::scenarios::builtin_specs;
 
-fn shard_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("parva-obs-stream-it").join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn shard_dir(name: &str) -> TempDir {
+    TempDir::new(&format!("obs-stream-{name}"))
 }
 
 /// Concatenated shards are byte-equivalent to the batch export and the
@@ -29,7 +30,7 @@ fn streamed_shards_match_batch_export_for_every_spec() {
             .unwrap_or_else(|e| panic!("{} observed run failed: {e}", spec.name));
         let dir = shard_dir(&spec.name);
         let (stream_report, stats) = spec
-            .run_streamed(&dir)
+            .run_streamed(dir.path())
             .unwrap_or_else(|e| panic!("{} streamed run failed: {e}", spec.name));
 
         // Identical reports (compare serialized — reports don't all
@@ -39,14 +40,14 @@ fn streamed_shards_match_batch_export_for_every_spec() {
         assert_eq!(a, b, "report drift between sinks in '{}'", spec.name);
 
         // Byte equivalence, lane by lane.
-        let trace = read_concat_shards(&dir, "trace").unwrap();
+        let trace = read_concat_shards(dir.path(), "trace").unwrap();
         assert_eq!(
             trace,
             rec.trace_jsonl(),
             "trace lane drift in '{}'",
             spec.name
         );
-        let metrics = read_concat_shards(&dir, "metrics").unwrap();
+        let metrics = read_concat_shards(dir.path(), "metrics").unwrap();
         assert_eq!(
             metrics,
             rec.metrics_jsonl(),
@@ -68,7 +69,7 @@ fn streamed_shards_match_batch_export_for_every_spec() {
             spec.name
         );
         assert_eq!(stats.dropped_shards, 0, "{}", spec.name);
-        assert!(dir.join("stream.done").is_file(), "{}", spec.name);
+        assert!(dir.path().join("stream.done").is_file(), "{}", spec.name);
     }
 }
 
@@ -79,13 +80,13 @@ fn rotation_policy_never_changes_the_bytes() {
     let spec = parvagpu::scenarios::spec_by_name("quickstart").unwrap();
     let mut spec = spec.quick();
     let dir_default = shard_dir("quickstart-default-shards");
-    let (_, stats_default) = spec.run_streamed(&dir_default).unwrap();
-    let baseline = read_concat_shards(&dir_default, "trace").unwrap();
+    let (_, stats_default) = spec.run_streamed(dir_default.path()).unwrap();
+    let baseline = read_concat_shards(dir_default.path(), "trace").unwrap();
 
     spec.observability.streaming.shard_max_events = 64;
     let dir_tiny = shard_dir("quickstart-tiny-shards");
-    let (_, stats_tiny) = spec.run_streamed(&dir_tiny).unwrap();
-    let rotated = read_concat_shards(&dir_tiny, "trace").unwrap();
+    let (_, stats_tiny) = spec.run_streamed(dir_tiny.path()).unwrap();
+    let rotated = read_concat_shards(dir_tiny.path(), "trace").unwrap();
 
     assert_eq!(baseline, rotated, "rotation must be layout-only");
     assert!(
@@ -104,13 +105,13 @@ fn retention_keeps_the_newest_tail() {
     let mut spec = spec.quick();
     spec.observability.streaming.shard_max_events = 64;
     let dir_full = shard_dir("quickstart-retain-full");
-    spec.run_streamed(&dir_full).unwrap();
-    let full = read_concat_shards(&dir_full, "trace").unwrap();
+    spec.run_streamed(dir_full.path()).unwrap();
+    let full = read_concat_shards(dir_full.path(), "trace").unwrap();
 
     spec.observability.streaming.retain_shards = 2;
     let dir_kept = shard_dir("quickstart-retain-2");
-    let (_, stats) = spec.run_streamed(&dir_kept).unwrap();
-    let kept = read_concat_shards(&dir_kept, "trace").unwrap();
+    let (_, stats) = spec.run_streamed(dir_kept.path()).unwrap();
+    let kept = read_concat_shards(dir_kept.path(), "trace").unwrap();
 
     assert!(stats.dropped_shards > 0, "tiny shards must trip retention");
     assert!(

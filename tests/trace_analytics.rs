@@ -8,13 +8,16 @@
 //! CI runs the same audit through the binary for each spec (see the
 //! observability job), so this suite is the in-tree mirror of that gate.
 
+mod common;
+
+use common::TempDir;
 use parvagpu::cli::{
     run_spec_with, run_trace_audit, run_trace_diff, run_trace_summary, run_trace_tail, ObsPaths,
 };
 use parvagpu::scenarios::builtin_specs;
 
 struct Streamed {
-    dir: std::path::PathBuf,
+    dir: TempDir,
     shards: String,
     report: String,
 }
@@ -22,19 +25,19 @@ struct Streamed {
 /// Stream one spec at quick scale into a fresh temp dir; returns the
 /// shard dir and the report JSON path.
 fn stream(name: &str) -> Streamed {
-    let dir = std::env::temp_dir()
-        .join("parva-trace-analytics-it")
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let shards = dir.join("shards").to_string_lossy().into_owned();
+    let dir = TempDir::new(&format!("trace-analytics-{name}"));
+    let shards = dir.path().join("shards").to_string_lossy().into_owned();
     let obs = ObsPaths {
         stream: Some(shards.clone()),
         ..ObsPaths::default()
     };
     let out = run_spec_with(name, true, true, &obs)
         .unwrap_or_else(|e| panic!("{name} streamed run failed: {e}"));
-    let report = dir.join("report.json").to_string_lossy().into_owned();
+    let report = dir
+        .path()
+        .join("report.json")
+        .to_string_lossy()
+        .into_owned();
     std::fs::write(&report, &out.stdout).unwrap();
     Streamed {
         dir,
@@ -64,7 +67,7 @@ fn audit_rejects_doctored_reports() {
     // Inflate the first per-service "offered" counter by a digit.
     let doctored = original.replacen("\"offered\":", "\"offered\":7", 1);
     assert_ne!(doctored, original);
-    let bad = s.dir.join("doctored.json");
+    let bad = s.dir.path().join("doctored.json");
     std::fs::write(&bad, doctored).unwrap();
     let err = run_trace_audit(&s.shards, bad.to_str().unwrap(), None, None)
         .expect_err("doctored report must fail the audit");
@@ -93,12 +96,8 @@ fn audit_recounts_quota_rejections_and_catches_tampering() {
         {"id": 2, "name": "free", "services": [1]}
       ]
     }"#;
-    let dir = std::env::temp_dir()
-        .join("parva-trace-analytics-it")
-        .join("tenant_serve_probe");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let shards = dir.join("shards").to_string_lossy().into_owned();
+    let dir = TempDir::new("trace-analytics-tenant_serve_probe");
+    let shards = dir.path().join("shards").to_string_lossy().into_owned();
     let obs = ObsPaths {
         stream: Some(shards.clone()),
         ..ObsPaths::default()
@@ -108,7 +107,11 @@ fn audit_recounts_quota_rejections_and_catches_tampering() {
     // the report (so the tampering below flips a non-zero counter).
     assert!(out.stdout.contains("\"rejected\":"), "{}", out.stdout);
     assert!(out.stdout.contains("\"tenants\":"), "{}", out.stdout);
-    let report = dir.join("report.json").to_string_lossy().into_owned();
+    let report = dir
+        .path()
+        .join("report.json")
+        .to_string_lossy()
+        .into_owned();
     std::fs::write(&report, &out.stdout).unwrap();
     let msg = run_trace_audit(&shards, &report, None, None).unwrap();
     assert!(msg.contains("all match"), "{msg}");
@@ -117,7 +120,7 @@ fn audit_recounts_quota_rejections_and_catches_tampering() {
     // independent recount from the arrival instants must disagree.
     let doctored = out.stdout.replacen("\"rejected\":", "\"rejected\":9", 1);
     assert_ne!(doctored, out.stdout);
-    let bad = dir.join("doctored.json");
+    let bad = dir.path().join("doctored.json");
     std::fs::write(&bad, doctored).unwrap();
     let err = run_trace_audit(&shards, bad.to_str().unwrap(), None, None)
         .expect_err("doctored rejection counter must fail the audit");
