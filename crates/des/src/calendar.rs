@@ -36,7 +36,7 @@ const PAYLOAD_MASK: u64 = (1 << PAYLOAD_BITS) - 1;
 /// indices); times are capped at 2⁴⁸ µs (~8.9 simulated years) and one
 /// queue instance supports 2³² scheduled events — both far beyond any
 /// serving window, and debug-asserted.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CalendarQueue {
     /// Rolling buckets; slot `s` holds events whose `at >> SLOT_SHIFT`
     /// is congruent to `s` and within the current horizon.
@@ -151,9 +151,16 @@ impl CalendarQueue {
         debug_assert!(self.seq < u64::from(u32::MAX), "seq exceeds 32 bits");
         let key = Self::pack(at, self.seq, payload);
         self.seq += 1;
+        self.insert(key);
+    }
+
+    /// File a packed key into the live bucket, the wheel or the overflow
+    /// heap by its time.
+    #[inline]
+    fn insert(&mut self, key: u128) {
         self.pending += 1;
         self.peak = self.peak.max(self.pending);
-        let slot = at.micros() >> SLOT_SHIFT;
+        let slot = Self::unpack(key).0.micros() >> SLOT_SHIFT;
         if slot == self.cur_slot {
             // Into the live bucket: sorted (descending) insert.
             let pos = self.active.partition_point(|&k| k > key);
@@ -230,6 +237,92 @@ impl CalendarQueue {
     }
 }
 
+// ---- checkpointing ----
+//
+// The wheel layout (which bucket is live, what still waits in overflow)
+// depends on the pop history, which a snapshot must not capture. Pending
+// events are written in pop order as `[time, seq, payload]` together with
+// the clock and counters; decoding files them back by time. Pop order
+// depends only on `(time, seq)`, so a restored queue pops exactly what the
+// original would have.
+
+impl serde::Serialize for CalendarQueue {
+    fn to_value(&self) -> serde::Value {
+        let mut keys: Vec<u128> = self
+            .active
+            .iter()
+            .chain(self.slots.iter().flatten())
+            .copied()
+            .chain(self.overflow.iter().map(|&Reverse(k)| k))
+            .collect();
+        keys.sort_unstable();
+        let entries = keys
+            .into_iter()
+            .map(|key| {
+                let (at, payload) = Self::unpack(key);
+                let seq = (key >> PAYLOAD_BITS) as u64 & ((1 << SEQ_BITS) - 1);
+                serde::Value::Seq(vec![
+                    serde::Value::UInt(at.micros()),
+                    serde::Value::UInt(seq),
+                    serde::Value::UInt(payload),
+                ])
+            })
+            .collect();
+        serde::Value::Map(vec![
+            ("now".into(), serde::Value::UInt(self.now.micros())),
+            ("seq".into(), serde::Value::UInt(self.seq)),
+            ("processed".into(), serde::Value::UInt(self.processed)),
+            ("peak".into(), serde::Value::UInt(self.peak as u64)),
+            ("entries".into(), serde::Value::Seq(entries)),
+        ])
+    }
+}
+
+impl serde::Deserialize for CalendarQueue {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let err = |msg: &str| serde::Error::custom(format!("CalendarQueue: {msg}"));
+        let map = v.as_map().ok_or_else(|| err("expected map"))?;
+        let field = |name: &str| {
+            serde::find_field(map, name).ok_or_else(|| err(&format!("missing field {name}")))
+        };
+        let now = u64::from_value(field("now")?)?;
+        let seq = u64::from_value(field("seq")?)?;
+        if now >= 1 << TIME_BITS || seq > 1 << SEQ_BITS {
+            return Err(err("clock or sequence out of range"));
+        }
+        let mut q = Self::new();
+        q.now = SimTime(now);
+        q.cur_slot = now >> SLOT_SHIFT;
+        q.seq = seq;
+        q.processed = u64::from_value(field("processed")?)?;
+        q.peak = usize::from_value(field("peak")?)?;
+        let entries = field("entries")?
+            .as_seq()
+            .ok_or_else(|| err("entries must be a sequence"))?;
+        let mut last: Option<(u64, u64)> = None;
+        for e in entries {
+            let parts = e
+                .as_seq()
+                .filter(|p| p.len() == 3)
+                .ok_or_else(|| err("entry must be [time, seq, payload]"))?;
+            let at = u64::from_value(&parts[0])?;
+            let s = u64::from_value(&parts[1])?;
+            let payload = u64::from_value(&parts[2])?;
+            // Entries must be pending (not before the clock), in strict
+            // pop order, numbered below the next sequence, and fit the key.
+            if at < now || at >= 1 << TIME_BITS || s >= seq || payload > PAYLOAD_MASK {
+                return Err(err("entry out of range"));
+            }
+            if last.is_some_and(|l| l >= (at, s)) {
+                return Err(err("entries out of pop order"));
+            }
+            last = Some((at, s));
+            q.insert(Self::pack(SimTime(at), s, payload));
+        }
+        Ok(q)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,8 +383,102 @@ mod tests {
         assert_eq!(q.peak_pending(), 50);
     }
 
+    #[test]
+    fn snapshot_round_trip_preserves_pop_order() {
+        use serde::{Deserialize as _, Serialize as _};
+        let mut q = CalendarQueue::new();
+        q.schedule(SimTime::from_ms(3.0), 30);
+        q.schedule(SimTime::from_ms(1.0), 10);
+        q.schedule(SimTime::from_ms(1.0), 11);
+        q.schedule(SimTime::from_secs(30.0), 40); // beyond the horizon
+        q.pop(); // advance the clock so `now` is non-zero in the snapshot
+        q.schedule(SimTime::from_ms(1.0), 12); // into the live bucket
+        q.schedule(SimTime::from_ms(2.0), 20);
+        let mut restored = CalendarQueue::from_value(&q.to_value()).unwrap();
+        assert_eq!(restored.now(), q.now());
+        assert_eq!(restored.processed(), q.processed());
+        assert_eq!(restored.peak_pending(), q.peak_pending());
+        assert_eq!(restored.pending(), q.pending());
+        assert_eq!(restored.to_value(), q.to_value());
+        let a: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let b: Vec<_> = std::iter::from_fn(|| restored.pop()).collect();
+        assert_eq!(a, b);
+        // Post-restore scheduling continues the same sequence numbering.
+        q.schedule_in(SimTime::from_ms(1.0), 99);
+        restored.schedule_in(SimTime::from_ms(1.0), 99);
+        assert_eq!(q.to_value(), restored.to_value());
+    }
+
+    #[test]
+    fn snapshot_rejects_malformed_trees() {
+        use serde::{Deserialize as _, Serialize as _};
+        let bad = serde::Value::Seq(vec![]);
+        assert!(CalendarQueue::from_value(&bad).is_err());
+        let missing = serde::Value::Map(vec![("now".into(), serde::Value::UInt(0))]);
+        assert!(CalendarQueue::from_value(&missing).is_err());
+        // Entries before the clock, out of pop order, or numbered at or
+        // past the next sequence are refused.
+        use serde::Value::{Map, Seq, UInt};
+        let doc = |now: u64, entries: &[[u64; 3]]| {
+            Map(vec![
+                ("now".into(), UInt(now)),
+                ("seq".into(), UInt(2)),
+                ("processed".into(), UInt(0)),
+                ("peak".into(), UInt(2)),
+                (
+                    "entries".into(),
+                    Seq(entries
+                        .iter()
+                        .map(|e| Seq(e.iter().map(|&x| UInt(x)).collect()))
+                        .collect()),
+                ),
+            ])
+        };
+        let ok = CalendarQueue::from_value(&doc(0, &[[10, 0, 1], [20, 1, 2]])).unwrap();
+        assert_eq!(ok.to_value(), doc(0, &[[10, 0, 1], [20, 1, 2]]));
+        for (now, entries) in [
+            (15, [[10, 0, 1], [20, 1, 2]]),
+            (0, [[20, 1, 2], [10, 0, 1]]),
+            (0, [[10, 0, 1], [20, 2, 2]]),
+        ] {
+            assert!(CalendarQueue::from_value(&doc(now, &entries)).is_err());
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A snapshot taken at any point of any schedule resumes into the
+        /// exact pop sequence of the uninterrupted queue.
+        #[test]
+        fn snapshot_resume_matches_uninterrupted(
+            ops in prop::collection::vec((0u64..3_000_000, 0u64..1000), 1..200),
+            pops_before in 0usize..200,
+        ) {
+            use serde::{Deserialize as _, Serialize as _};
+            let mut q = CalendarQueue::new();
+            for (i, &(dt, payload)) in ops.iter().enumerate() {
+                q.schedule(q.now() + SimTime(dt), payload);
+                if i < pops_before {
+                    q.pop();
+                }
+            }
+            let mut restored = CalendarQueue::from_value(&q.to_value()).unwrap();
+            loop {
+                let a = q.pop();
+                prop_assert_eq!(a, restored.pop());
+                if a.is_none() {
+                    break;
+                }
+                // Keep scheduling after the restore: new keys interleave.
+                let (t, p) = a.unwrap();
+                if p % 3 == 0 {
+                    q.schedule(t + SimTime(p * 997), p + 1);
+                    restored.schedule(t + SimTime(p * 997), p + 1);
+                }
+            }
+            prop_assert_eq!(q.processed(), restored.processed());
+        }
 
         /// The load-bearing property: for ANY schedule, the calendar queue
         /// pops the exact sequence the reference heap queue pops — time

@@ -145,77 +145,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-// ---- checkpointing ----
-//
-// The vendored serde derive rejects generic types, so the queue snapshots
-// itself by hand. A `BinaryHeap`'s internal layout depends on insertion
-// history, which a snapshot must not capture: pending entries are emitted
-// sorted by the queue's own (time, sequence) order — the canonical form —
-// and rebuilding by pushing them in that order restores identical pop
-// behavior regardless of how the original heap was arranged.
-
-impl<E: serde::Serialize> serde::Serialize for EventQueue<E> {
-    fn to_value(&self) -> serde::Value {
-        let mut entries: Vec<&Entry<E>> = self.heap.iter().map(|Reverse(e)| e).collect();
-        entries.sort_by_key(|e| (e.at, e.seq));
-        serde::Value::Map(vec![
-            ("now".into(), serde::Value::UInt(self.now.micros())),
-            ("seq".into(), serde::Value::UInt(self.seq)),
-            ("processed".into(), serde::Value::UInt(self.processed)),
-            ("peak".into(), serde::Value::UInt(self.peak as u64)),
-            (
-                "entries".into(),
-                serde::Value::Seq(
-                    entries
-                        .iter()
-                        .map(|e| {
-                            serde::Value::Seq(vec![
-                                serde::Value::UInt(e.at.micros()),
-                                serde::Value::UInt(e.seq),
-                                e.event.to_value(),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl<E: serde::Deserialize> serde::Deserialize for EventQueue<E> {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| serde::Error::custom("EventQueue: expected map"))?;
-        let field = |name: &str| {
-            serde::find_field(map, name)
-                .ok_or_else(|| serde::Error::custom(format!("EventQueue: missing field {name}")))
-        };
-        let mut q = EventQueue {
-            heap: BinaryHeap::new(),
-            now: SimTime(u64::from_value(field("now")?)?),
-            seq: u64::from_value(field("seq")?)?,
-            processed: u64::from_value(field("processed")?)?,
-            peak: usize::from_value(field("peak")?)?,
-        };
-        let entries = field("entries")?
-            .as_seq()
-            .ok_or_else(|| serde::Error::custom("EventQueue: entries must be a sequence"))?;
-        q.heap.reserve(entries.len());
-        for e in entries {
-            let parts = e.as_seq().filter(|s| s.len() == 3).ok_or_else(|| {
-                serde::Error::custom("EventQueue: entry must be [at, seq, event]")
-            })?;
-            q.heap.push(Reverse(Entry {
-                at: SimTime(u64::from_value(&parts[0])?),
-                seq: u64::from_value(&parts[1])?,
-                event: E::from_value(&parts[2])?,
-            }));
-        }
-        Ok(q)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,38 +225,6 @@ mod tests {
         }
         assert!(q.pop().is_none());
         assert_eq!(q.peak_pending(), 101);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_pop_order() {
-        use serde::{Deserialize as _, Serialize as _};
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.schedule(SimTime::from_ms(3.0), 30);
-        q.schedule(SimTime::from_ms(1.0), 10);
-        q.schedule(SimTime::from_ms(1.0), 11);
-        q.pop(); // advance the clock so `now` is non-zero in the snapshot
-        q.schedule(SimTime::from_ms(2.0), 20);
-        let mut restored = EventQueue::<u64>::from_value(&q.to_value()).unwrap();
-        assert_eq!(restored.now(), q.now());
-        assert_eq!(restored.processed(), q.processed());
-        assert_eq!(restored.peak_pending(), q.peak_pending());
-        let a: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        let b: Vec<_> = std::iter::from_fn(|| restored.pop()).collect();
-        assert_eq!(a, b);
-        // Post-restore scheduling continues the same sequence numbering:
-        // snapshots taken after the drain must also agree.
-        q.schedule_in(SimTime::from_ms(1.0), 99);
-        restored.schedule_in(SimTime::from_ms(1.0), 99);
-        assert_eq!(q.to_value(), restored.to_value());
-    }
-
-    #[test]
-    fn snapshot_rejects_malformed_trees() {
-        use serde::Deserialize as _;
-        let bad = serde::Value::Seq(vec![]);
-        assert!(EventQueue::<u64>::from_value(&bad).is_err());
-        let missing = serde::Value::Map(vec![("now".into(), serde::Value::UInt(0))]);
-        assert!(EventQueue::<u64>::from_value(&missing).is_err());
     }
 
     #[test]

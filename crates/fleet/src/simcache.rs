@@ -4,7 +4,7 @@
 //! steady states: the "after" probe of interval `n` and the "before" probe
 //! of interval `n+1` run the same `(deployment, specs, serving config)`
 //! triple, and a displacement window's control run duplicates the before
-//! probe. Since [`parva_serve::simulate`] is a pure deterministic function
+//! probe. Since [`parva_serve::Simulation::run`] is a pure deterministic function
 //! of its inputs, each unique state needs simulating exactly once per
 //! report.
 //!

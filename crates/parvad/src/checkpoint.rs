@@ -3,7 +3,7 @@
 //! A checkpoint is a single JSON document:
 //!
 //! ```json
-//! {"schema":"parvad/checkpoint/v1","checksum":1234567890,"state":{…}}
+//! {"schema":"parvad/checkpoint/v2","checksum":1234567890,"state":{…}}
 //! ```
 //!
 //! `state` is the full serialized [`crate::Daemon`]; `checksum` is FNV-1a
@@ -22,8 +22,10 @@
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
-/// Schema tag of the current checkpoint format.
-pub const SCHEMA: &str = "parvad/checkpoint/v1";
+/// Schema tag of the current checkpoint format. `v2`: the daemon's serving
+/// state is the one serving engine (calendar queue, request table), not
+/// the `v1` stream-only engine; `v1` checkpoints are refused by tag.
+pub const SCHEMA: &str = "parvad/checkpoint/v2";
 
 /// FNV-1a, 64-bit — tiny, dependency-free, deterministic.
 #[must_use]
@@ -149,9 +151,39 @@ mod tests {
     fn wrong_schema_is_rejected() {
         let text = encode_checkpoint(&0u64)
             .unwrap()
-            .replace("parvad/checkpoint/v1", "parvad/checkpoint/v0");
+            .replace(SCHEMA, "parvad/checkpoint/v0");
         let err = decode_checkpoint::<u64>(&text).unwrap_err();
         assert!(err.contains("unsupported checkpoint schema"));
+    }
+
+    #[test]
+    fn v1_daemon_checkpoint_is_refused_by_schema_not_by_field() {
+        // A v1 envelope around a v1-shaped daemon state (its stream engine
+        // kept a heap `queue`): its checksum is valid and its fields would
+        // not decode, but the schema tag must refuse it first.
+        let state = Value::Map(vec![(
+            "engine".to_string(),
+            Value::Map(vec![(
+                "queue".to_string(),
+                Value::Map(vec![("entries".to_string(), Value::Seq(Vec::new()))]),
+            )]),
+        )]);
+        let checksum = fnv1a64(serde_json::to_string(&state).unwrap().as_bytes());
+        let doc = Value::Map(vec![
+            (
+                "schema".to_string(),
+                Value::Str("parvad/checkpoint/v1".to_string()),
+            ),
+            ("checksum".to_string(), Value::UInt(checksum)),
+            ("state".to_string(), state),
+        ]);
+        let text = serde_json::to_string_pretty(&doc).unwrap();
+        let err = decode_checkpoint::<crate::Daemon>(&text).unwrap_err();
+        assert!(
+            err.contains("unsupported checkpoint schema \"parvad/checkpoint/v1\""),
+            "{err}"
+        );
+        assert!(!err.contains("does not decode"), "{err}");
     }
 
     #[test]

@@ -235,15 +235,33 @@ fn poll_control(listener: &TcpListener, daemon: &mut Daemon) {
     }
 }
 
+/// Largest request body the control socket accepts, bytes. Every body is
+/// a small JSON object (pod specs are under 1 KiB); a larger declared
+/// `Content-Length` is refused with 413 before any of the body is read, so
+/// no client can grow the daemon's memory.
+const MAX_BODY_BYTES: usize = 16 * 1024;
+
 fn handle_connection(mut stream: TcpStream, daemon: &mut Daemon) {
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(2)));
-    let Some((method, path, body)) = read_request(&mut stream) else {
-        respond(&mut stream, 400, "{\"error\":\"malformed request\"}");
-        return;
-    };
-    let (code, reply) = dispatch(daemon, &method, &path, &body);
-    respond(&mut stream, code, &reply);
+    match read_request(&mut stream) {
+        Ok((method, path, body)) => {
+            let (code, reply) = dispatch(daemon, &method, &path, &body);
+            respond(&mut stream, code, &reply);
+        }
+        Err(RequestError::TooLarge) => {
+            respond(&mut stream, 413, "{\"error\":\"request body too large\"}");
+        }
+        Err(RequestError::Malformed) => {
+            respond(&mut stream, 400, "{\"error\":\"malformed request\"}");
+        }
+    }
+}
+
+/// Why a request could not be read.
+enum RequestError {
+    Malformed,
+    TooLarge,
 }
 
 fn dispatch(daemon: &mut Daemon, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -293,46 +311,55 @@ fn quote_json(s: &str) -> String {
     serde_json::to_string(&s).unwrap_or_else(|_| "\"?\"".to_string())
 }
 
-fn read_request(stream: &mut TcpStream) -> Option<(String, String, String)> {
+fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), RequestError> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     let header_end = loop {
-        let n = stream.read(&mut chunk).ok()?;
+        let n = stream
+            .read(&mut chunk)
+            .map_err(|_| RequestError::Malformed)?;
         if n == 0 {
-            return None;
+            return Err(RequestError::Malformed);
         }
         buf.extend_from_slice(&chunk[..n]);
         if let Some(pos) = find_header_end(&buf) {
             break pos;
         }
         if buf.len() > 64 * 1024 {
-            return None;
+            return Err(RequestError::Malformed);
         }
     };
     let head = String::from_utf8_lossy(&buf[..header_end]).to_string();
     let mut lines = head.lines();
-    let request_line = lines.next()?;
+    let request_line = lines.next().ok_or(RequestError::Malformed)?;
     let mut parts = request_line.split_whitespace();
-    let method = parts.next()?.to_string();
-    let path = parts.next()?.to_string();
+    let method = parts.next().ok_or(RequestError::Malformed)?.to_string();
+    let path = parts.next().ok_or(RequestError::Malformed)?.to_string();
     let content_length = lines
         .filter_map(|l| {
             let (k, v) = l.split_once(':')?;
-            k.eq_ignore_ascii_case("content-length")
-                .then(|| v.trim().parse::<usize>().ok())?
+            k.eq_ignore_ascii_case("content-length").then(|| v.trim())
         })
         .next()
-        .unwrap_or(0);
+        .map_or(Ok(0), |v| {
+            v.parse::<u64>().map_err(|_| RequestError::Malformed)
+        })?;
+    if content_length > MAX_BODY_BYTES as u64 {
+        return Err(RequestError::TooLarge);
+    }
+    let content_length = content_length as usize;
     let mut body = buf[header_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk).ok()?;
+        let n = stream
+            .read(&mut chunk)
+            .map_err(|_| RequestError::Malformed)?;
         if n == 0 {
             break;
         }
         body.extend_from_slice(&chunk[..n]);
     }
     body.truncate(content_length);
-    Some((method, path, String::from_utf8_lossy(&body).to_string()))
+    Ok((method, path, String::from_utf8_lossy(&body).to_string()))
 }
 
 fn find_header_end(buf: &[u8]) -> Option<usize> {
@@ -345,6 +372,7 @@ fn respond(stream: &mut TcpStream, code: u16, body: &str) {
         400 => "Bad Request",
         404 => "Not Found",
         409 => "Conflict",
+        413 => "Payload Too Large",
         _ => "Internal Server Error",
     };
     let _ = write!(
@@ -497,6 +525,56 @@ mod tests {
             assert_eq!(a, b, "{artifact} diverged across suspend/resume");
         }
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    #[test]
+    fn oversized_body_is_refused_and_the_daemon_keeps_stepping() {
+        use std::sync::mpsc;
+        let (tx, rx) = mpsc::channel();
+        let server = std::thread::spawn(move || {
+            let mut daemon = boot();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.set_nonblocking(true).unwrap();
+            tx.send(listener.local_addr().unwrap().to_string()).unwrap();
+            while !daemon.draining() {
+                poll_control(&listener, &mut daemon);
+                daemon.step(&mut parva_obs::NullSink);
+            }
+            daemon
+        });
+        let addr = rx.recv().unwrap();
+        let epoch_of = |body: &str| {
+            serde_json::from_str::<crate::DaemonStatus>(body)
+                .unwrap()
+                .epoch
+        };
+        let (_, before) = http_request(&addr, "GET", "/status", None).unwrap();
+
+        // Declare a 10 GB body and send none of it: the daemon must answer
+        // 413 from the headers alone, without waiting for or buffering it.
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(5)))
+            .unwrap();
+        write!(
+            stream,
+            "POST /submit HTTP/1.1\r\nContent-Length: 10000000000\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).unwrap();
+        assert!(raw.starts_with("HTTP/1.1 413 "), "{raw}");
+        assert!(raw.contains("too large"), "{raw}");
+
+        let (code, after) = http_request(&addr, "GET", "/status", None).unwrap();
+        assert_eq!(code, 200, "{after}");
+        assert!(
+            epoch_of(&after) > epoch_of(&before),
+            "daemon stopped stepping"
+        );
+        let (code, _) = http_request(&addr, "POST", "/drain", None).unwrap();
+        assert_eq!(code, 200);
+        assert!(server.join().unwrap().draining());
     }
 
     #[test]

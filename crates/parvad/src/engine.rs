@@ -570,6 +570,23 @@ mod tests {
         );
     }
 
+    #[test]
+    fn checkpoint_taken_mid_recovery_resumes() {
+        // Admission re-slices GPUs, so the engine carries a live recovery
+        // (its spec and timing) when the checkpoint is taken; the envelope
+        // must pass its own checksum and resume into the same state.
+        let mut d = boot(AutoscalePolicy::default());
+        let pod = PodSpec::new("bert-qa", Model::BertLarge, 130.0, 60.0);
+        d.submit(&pod, &mut NullSink).unwrap();
+        assert!(d.status().dark_servers > 0, "admission must re-slice a GPU");
+        let frozen = crate::checkpoint::encode_checkpoint(&d).unwrap();
+        let resumed: Daemon = crate::checkpoint::decode_checkpoint(&frozen).unwrap();
+        assert_eq!(
+            serde::Serialize::to_value(&d),
+            serde::Serialize::to_value(&resumed)
+        );
+    }
+
     /// A real checkpoint envelope, encoded once for the corruption
     /// properties below.
     fn frozen() -> &'static str {

@@ -16,7 +16,7 @@
 //!    regions; a region that cannot host its plan is rebalanced (its
 //!    excess re-spills) or, after a capacity event, forced into failover,
 //! 5. serves each region's routed load in the DES simulator with
-//!    per-flow RTT ingress classes ([`parva_serve::simulate_with_ingress`]),
+//!    per-flow RTT ingress classes ([`parva_serve::Simulation::ingress`]),
 //! 6. prices each region's surviving fleet at regional prices.
 
 use crate::event::{next_region_event_with, RegionEvent};

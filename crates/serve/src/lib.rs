@@ -40,10 +40,6 @@ pub use report::{
 };
 pub use resilience::ResilienceSpec;
 pub use router::Router;
-#[allow(deprecated)]
-pub use sim::{
-    simulate, simulate_with_ingress, simulate_with_recovery, ArrivalProcess, IngressClass,
-    ServingConfig,
-};
+pub use sim::{ArrivalProcess, IngressClass, ServingConfig};
 pub use simulation::Simulation;
 pub use stream::{EpochObservation, StreamEngine, StreamReport, StreamServiceReport};

@@ -10,7 +10,7 @@
 //! dip is *measured* against live traffic instead of assumed.
 //!
 //! [`RecoverySpec`] is the lowered form a fleet-level migration plan hands
-//! to [`crate::sim::simulate_with_recovery`]: one [`RecoveryOp`] per
+//! to [`crate::Simulation::recovery`]: one [`RecoveryOp`] per
 //! affected physical GPU, carrying the hosting node (the contention
 //! domain), whether the GPU re-flashes, how many GiB of weights it
 //! receives, and which logical GPU of the recovered deployment it hosts.

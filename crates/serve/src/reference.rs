@@ -254,7 +254,7 @@ fn class_seed(seed: u64, class: usize) -> u64 {
 /// completes, so the disruption-window compliance dip and the end-to-end
 /// recovery latency are *measured* outcomes of the DES
 /// ([`ServingReport::recovery`]), not closed-form estimates. `None` (or an
-/// empty spec) is bit-identical to [`simulate_with_ingress`].
+/// empty spec) is bit-identical to a recovery-free run.
 ///
 /// Fully deterministic for a given `config.seed`.
 #[must_use]

@@ -143,7 +143,7 @@ impl ServiceReport {
 }
 
 /// Per-ingress-class serving outcome (see
-/// [`crate::sim::simulate_with_ingress`]): one row per `(service, class)`.
+/// [`crate::Simulation::ingress`]): one row per `(service, class)`.
 /// Latencies here *include* the class's network term, so a spilled class's
 /// histogram directly shows the RTT-shifted distribution its remote users
 /// experience.
@@ -246,13 +246,13 @@ pub struct ServingReport {
     pub services: Vec<ServiceReport>,
     /// Per-server activity (order follows the deployment's server list).
     pub servers: Vec<ServerActivity>,
-    /// Per-ingress-class outcomes, service-major then class order. Plain
-    /// [`crate::sim::simulate`] runs have exactly one (local) class per
+    /// Per-ingress-class outcomes, service-major then class order. Runs
+    /// without explicit ingress classes have exactly one (local) class per
     /// service.
     #[serde(default)]
     pub classes: Vec<ClassReport>,
     /// What the DES measured about recovery work riding this window
-    /// ([`crate::sim::simulate_with_recovery`]); `None` when no recovery
+    /// ([`crate::Simulation::recovery`]); `None` when no recovery
     /// was simulated.
     #[serde(default)]
     pub recovery: Option<RecoverySimReport>,

@@ -1,17 +1,31 @@
-//! The serving simulation proper.
+//! The serving engine: one discrete-event core behind every serving run.
 //!
-//! The inner event loop is allocation-free in steady state: events ride a
+//! `Engine` holds the whole mutable state of a serving simulation — the
+//! calendar event queue, servers and their queues, routers, the in-flight
+//! batch slab, per-service and per-class counters, arrival and MMPP phase
+//! RNG streams, the resilience request table and the tenant admission
+//! buckets — in one struct that serializes, so a run can be checkpointed
+//! between events and resumed bit-identically. It has two drivers:
+//!
+//! * [`crate::Simulation`] serves one measurement window: build the
+//!   engine, run it to the window's end, build the [`ServingReport`];
+//! * [`crate::StreamEngine`] serves a never-ending stream over an open
+//!   window, one epoch per run, and may reconfigure the deployment under
+//!   the live request table between epochs.
+//!
+//! The event loop is allocation-free in steady state: events ride a
 //! [`CalendarQueue`] as packed 128-bit keys, batch membership lives in a
 //! recycled slab instead of per-batch `Vec`s, per-(service, class)
 //! accounting is flat and contiguous, and per-server batch timings are
-//! memoized. The optimized engine is property-tested to produce
-//! byte-identical reports to the frozen pre-optimization simulator
-//! (`crate::reference`, compiled for tests only).
+//! memoized. Window runs are property-tested to produce byte-identical
+//! reports to the frozen pre-optimization simulator (`crate::reference`,
+//! compiled for tests only).
 
 use crate::recovery::{RecoverySimReport, RecoverySpec};
 use crate::report::{ClassReport, ServerActivity, ServiceReport, ServingReport, TenantReport};
 use crate::resilience::ResilienceSpec;
 use crate::router::Router;
+use crate::simulation::Simulation;
 use parva_deploy::{Deployment, ServiceSpec, Tenant};
 use parva_des::{CalendarQueue, LatencyHistogram, RngStream, SerialResource, SimTime};
 use parva_obs::{Row, TraceEvent, TraceSink, PID_SERVE};
@@ -127,7 +141,7 @@ const MEMO_EMPTY: SimTime = SimTime(u64::MAX);
 /// capacity (floored at one token so a tiny quota still admits). No RNG
 /// is involved, so quota enforcement never perturbs any sample path — a
 /// rejected arrival simply skips the routing stage.
-#[derive(Debug)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct TokenBucket {
     tokens: f64,
     last_us: u64,
@@ -161,12 +175,13 @@ impl TokenBucket {
     }
 }
 
-/// One live request in the resilience request table. Without a resilience
-/// policy the engine never materializes request identity (queue entries are
-/// plain `(arrival, class)` pairs); with one, queue/slab entries carry a
-/// request id into this table so timeouts, retries and hedge cancellation
-/// can find a request wherever it sits.
-#[derive(Debug, Clone, Copy)]
+/// One live request in the resilience request table. Unless the resilience
+/// policy times out or hedges requests, the engine never materializes
+/// request identity (queue entries are plain `(arrival, class)` pairs);
+/// when it does, queue/slab entries carry a request id into this table so
+/// timeouts, retries and hedge cancellation can find a request wherever it
+/// sits.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct ResReq {
     service: u32,
     class: u32,
@@ -188,7 +203,7 @@ struct ResReq {
 /// All mutable resilience state of one run: the request table (slab with a
 /// free list — steady state allocates nothing), the cluster-wide retry
 /// budget, the backoff-jitter RNG stream, and per-service counters.
-#[derive(Debug)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct ResState {
     spec: ResilienceSpec,
     reqs: Vec<ResReq>,
@@ -217,6 +232,26 @@ impl ResState {
             shed: vec![0; services],
             hedges: vec![0; services],
             hedge_wins: vec![0; services],
+        }
+    }
+
+    /// Do queue entries carry request ids into the table? Only timeouts
+    /// (and the retries they spawn) and hedging need to find a request
+    /// again; shedding and health checks act on queues and routers alone.
+    fn tracks_requests(&self) -> bool {
+        self.spec.timeout_ms > 0.0 || self.spec.hedge_quantile > 0.0
+    }
+
+    /// Open zeroed counters for one more service.
+    fn add_service(&mut self) {
+        for counter in [
+            &mut self.timeouts,
+            &mut self.retries,
+            &mut self.shed,
+            &mut self.hedges,
+            &mut self.hedge_wins,
+        ] {
+            counter.push(0);
         }
     }
 
@@ -269,9 +304,11 @@ fn remove_rid(queue: &mut VecDeque<(SimTime, u32)>, rid: u32) {
 }
 
 /// One executable server: a MIG segment (p processes) or an MPS partition.
-#[derive(Debug)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 struct Server {
     service: usize,
+    /// This server's slot in its service's router.
+    slot: usize,
     /// Logical GPU hosting this server (MIG: the segment's GPU index; MPS:
     /// the partition's GPU index) — the unit recovery events darken.
     gpu: usize,
@@ -293,17 +330,32 @@ struct Server {
     class_timeouts: Vec<SimTime>,
     /// Memoized `(cycle, comp_us)` per `(b_eff, n_busy)` point — the
     /// perf-model arithmetic is pure, so each point is computed at most
-    /// once per sim. Indexed `(b_eff - 1) * procs + (n_busy - 1)`;
+    /// once per server. Indexed `(b_eff - 1) * procs + (n_busy - 1)`;
     /// [`MEMO_EMPTY`] marks an unevaluated slot.
     perf_memo: Vec<(SimTime, u64)>,
     /// True while the server's GPU has recovery work outstanding (re-flash
     /// or weight copy): requests queue but no batch launches.
     dark: bool,
-    /// Waiting requests: `(arrival time, ingress class)`.
+    /// Waiting requests: `(arrival time, ingress class)`, or `(attempt
+    /// time, request id)` when the resilience policy tracks requests.
     queue: VecDeque<(SimTime, u32)>,
     busy: u32,
     /// SM-occupancy microseconds accumulated inside the window.
     busy_comp_us: u64,
+}
+
+/// One in-flight batch in the recycled slab.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+struct Batch {
+    /// The queue entries the batch drafted.
+    members: Vec<(SimTime, u32)>,
+    /// SM-occupancy of the batch, µs.
+    comp_us: u64,
+    /// Service index the batch serves.
+    service: u32,
+    /// Fabric generation it launched under: a reconfigure may have replaced
+    /// its server since, and then the completion returns no capacity.
+    generation: u64,
 }
 
 // ---- packed event encoding (48-bit CalendarQueue payloads) ----
@@ -320,6 +372,9 @@ const B_MASK: u64 = (1 << 20) - 1;
 
 const TAG_ARRIVAL: u64 = 0;
 const TAG_DONE: u64 = 1;
+// Fabric events carry the fabric generation they were booked under (the
+// deadline in `a`, the recovery in `b`): a reconfigure bumps it, so events
+// addressed to replaced servers fall through.
 const TAG_DEADLINE: u64 = 2;
 const TAG_RECOVERY_BEGIN: u64 = 3;
 const TAG_GPU_RECOVERED: u64 = 4;
@@ -331,6 +386,9 @@ const TAG_GPU_RECOVERED: u64 = 4;
 const TAG_TIMEOUT: u64 = 5;
 const TAG_RETRY: u64 = 6;
 const TAG_HEDGE: u64 = 7;
+// Epoch boundary of a streamed run: `Engine::run_until` returns when one
+// pops, after booking the next.
+const TAG_EPOCH: u64 = 8;
 
 #[inline]
 fn ev(tag: u64, a: u64, b: u64) -> u64 {
@@ -344,12 +402,6 @@ fn ev(tag: u64, a: u64, b: u64) -> u64 {
 /// cap the artificial delay regardless of how loose the SLO is).
 fn batch_timeout(spec: &ServiceSpec, server: &Server) -> SimTime {
     let (full_cycle, _) = batch_times(server, server.batch, server.procs);
-    timeout_from_budget(spec, full_cycle)
-}
-
-/// The pure budget arithmetic behind [`batch_timeout`], shared with the
-/// streaming engine (which carries its own server representation).
-pub(crate) fn timeout_from_budget(spec: &ServiceSpec, full_cycle: SimTime) -> SimTime {
     let budget_us = SimTime::from_ms(spec.slo.internal_target_ms()).micros();
     SimTime(
         budget_us
@@ -372,33 +424,61 @@ fn hedge_delay(hist: &LatencyHistogram, spec: &ServiceSpec, quantile: f64) -> Si
     SimTime::from_ms(ms)
 }
 
-fn build_servers(deployment: &Deployment, specs: &[ServiceSpec]) -> Vec<Server> {
+/// The servers of `deployment` that serve one of `specs`, plus, per
+/// service, its servers' indices and routing weights (their
+/// scheduler-predicted throughput) in router-slot order.
+fn build_fabric(
+    deployment: &Deployment,
+    specs: &[ServiceSpec],
+) -> (Vec<Server>, Vec<Vec<(u32, f64)>>) {
     let idx_of = |id: u32| specs.iter().position(|s| s.id == id);
-    let mut servers = Vec::new();
+    let mut servers: Vec<Server> = Vec::new();
+    let mut slots: Vec<Vec<(u32, f64)>> = vec![Vec::new(); specs.len()];
+    let mut push = |service: usize,
+                    gpu: usize,
+                    model: Model,
+                    share: ComputeShare,
+                    batch: u32,
+                    procs: u32,
+                    interference: f64,
+                    throughput: f64| {
+        let mut server = Server {
+            service,
+            slot: slots[service].len(),
+            gpu,
+            model,
+            share,
+            batch,
+            procs,
+            interference,
+            batch_timeout: SimTime::ZERO,
+            class_timeouts: Vec::new(),
+            perf_memo: vec![(MEMO_EMPTY, 0); (batch * procs) as usize],
+            dark: false,
+            queue: VecDeque::new(),
+            busy: 0,
+            busy_comp_us: 0,
+        };
+        server.batch_timeout = batch_timeout(&specs[service], &server);
+        slots[service].push((servers.len() as u32, throughput));
+        servers.push(server);
+    };
     match deployment {
         Deployment::Mig(d) => {
             for ps in d.segments() {
                 let Some(service) = idx_of(ps.segment.service_id) else {
                     continue;
                 };
-                let mut server = Server {
+                push(
                     service,
-                    gpu: ps.gpu,
-                    model: ps.segment.model,
-                    share: ComputeShare::Mig(ps.segment.triplet.instance),
-                    batch: ps.segment.triplet.batch,
-                    procs: ps.segment.triplet.procs,
-                    interference: 0.0, // MIG isolates (paper §II-B)
-                    batch_timeout: SimTime::ZERO,
-                    class_timeouts: Vec::new(),
-                    perf_memo: Vec::new(),
-                    dark: false,
-                    queue: VecDeque::new(),
-                    busy: 0,
-                    busy_comp_us: 0,
-                };
-                server.batch_timeout = batch_timeout(&specs[service], &server);
-                servers.push(server);
+                    ps.gpu,
+                    ps.segment.model,
+                    ComputeShare::Mig(ps.segment.triplet.instance),
+                    ps.segment.triplet.batch,
+                    ps.segment.triplet.procs,
+                    0.0, // MIG isolates (paper §II-B)
+                    ps.segment.throughput_rps,
+                );
             }
         }
         Deployment::Mps(d) => {
@@ -407,89 +487,36 @@ fn build_servers(deployment: &Deployment, specs: &[ServiceSpec]) -> Vec<Server> 
                     let Some(service) = idx_of(p.service_id) else {
                         continue;
                     };
-                    let co = d.gpus[gi].co_residents(pi);
-                    let mut server = Server {
+                    push(
                         service,
-                        gpu: gi,
-                        model: p.model,
-                        share: ComputeShare::Fraction(p.fraction),
-                        batch: p.batch,
-                        procs: p.procs.max(1),
-                        interference: total_interference(p.model, &co),
-                        batch_timeout: SimTime::ZERO,
-                        class_timeouts: Vec::new(),
-                        perf_memo: Vec::new(),
-                        dark: false,
-                        queue: VecDeque::new(),
-                        busy: 0,
-                        busy_comp_us: 0,
-                    };
-                    server.batch_timeout = batch_timeout(&specs[service], &server);
-                    servers.push(server);
+                        gi,
+                        p.model,
+                        ComputeShare::Fraction(p.fraction),
+                        p.batch,
+                        p.procs.max(1),
+                        total_interference(p.model, &gpu.co_residents(pi)),
+                        p.throughput_rps,
+                    );
                 }
             }
         }
     }
-    for s in &mut servers {
-        s.perf_memo = vec![(MEMO_EMPTY, 0); (s.batch * s.procs) as usize];
-    }
-    servers
+    (servers, slots)
 }
 
-/// Routing weight of each server (its scheduler-predicted throughput).
-fn predicted_weights(deployment: &Deployment, specs: &[ServiceSpec]) -> Vec<Vec<(usize, f64)>> {
-    // For each service index: list of (server index, weight).
-    let mut per_service: Vec<Vec<(usize, f64)>> = vec![Vec::new(); specs.len()];
-    let mut si = 0usize;
-    match deployment {
-        Deployment::Mig(d) => {
-            for ps in d.segments() {
-                if let Some(s) = specs.iter().position(|x| x.id == ps.segment.service_id) {
-                    per_service[s].push((si, ps.segment.throughput_rps));
-                    si += 1;
-                }
-            }
-        }
-        Deployment::Mps(d) => {
-            for (_, p) in d.partitions() {
-                if let Some(s) = specs.iter().position(|x| x.id == p.service_id) {
-                    per_service[s].push((si, p.throughput_rps));
-                    si += 1;
-                }
-            }
-        }
-    }
-    per_service
-}
-
-/// Service time and SM-occupancy of one batch starting now on `server` with
-/// `n_busy` concurrently active processes.
+/// Service time and SM-occupancy of one batch of `b_eff` starting now on
+/// `server` with `n_busy` concurrently active processes.
 fn batch_times(server: &Server, b_eff: u32, n_busy: u32) -> (SimTime, u64) {
-    perf_batch_times(
-        server.model,
-        server.share,
-        server.interference,
+    let params = PerfParams::for_model(server.model);
+    let gpcs = server.share.effective_gpcs();
+    let cycle_ms = parva_perf::math::cycle_ms_with_interference(
+        &params,
+        gpcs,
         b_eff,
         n_busy,
-    )
-}
-
-/// The pure perf-model evaluation behind [`batch_times`]: service time and
-/// SM-occupancy of one batch of `b_eff` with `n_busy` concurrently active
-/// processes on a `(model, share, interference)` executor. Shared with the
-/// streaming engine so both engines price batches identically.
-pub(crate) fn perf_batch_times(
-    model: Model,
-    share: ComputeShare,
-    interference: f64,
-    b_eff: u32,
-    n_busy: u32,
-) -> (SimTime, u64) {
-    let params = PerfParams::for_model(model);
-    let gpcs = share.effective_gpcs();
-    let cycle_ms =
-        parva_perf::math::cycle_ms_with_interference(&params, gpcs, b_eff, n_busy, interference);
-    let comp_ms = parva_perf::math::t_comp(&params, gpcs, b_eff) * (1.0 + interference);
+        server.interference,
+    );
+    let comp_ms = parva_perf::math::t_comp(&params, gpcs, b_eff) * (1.0 + server.interference);
     (
         SimTime::from_ms(cycle_ms),
         SimTime::from_ms(comp_ms).micros(),
@@ -521,11 +548,7 @@ fn batch_times_memo(
 /// eligible when their GPU's re-flash completes (immediately for prepared
 /// / no-re-flash ops) and are granted FIFO by eligibility on the node's
 /// PCIe link.
-pub(crate) fn recovery_timeline<S: TraceSink>(
-    spec: &RecoverySpec,
-    t0: SimTime,
-    sink: &mut S,
-) -> Vec<SimTime> {
+fn recovery_timeline<S: TraceSink>(spec: &RecoverySpec, t0: SimTime, sink: &mut S) -> Vec<SimTime> {
     let t_cp = t0 + SimTime::from_ms(spec.control_plane_ms);
     let mut reflash_locks: BTreeMap<usize, SerialResource> = BTreeMap::new();
     let mut ready: Vec<SimTime> = Vec::with_capacity(spec.ops.len());
@@ -585,351 +608,1263 @@ fn spec_dur(start: SimTime, done: SimTime) -> u64 {
     done.micros().saturating_sub(start.micros())
 }
 
-/// Run the serving simulation for `deployment` under `specs`' offered load.
-///
-/// Fully deterministic for a given `config.seed`. Each service is offered
-/// one purely local ingress class at its spec rate.
-#[must_use]
-#[deprecated(
-    since = "0.2.0",
-    note = "use serve::Simulation::new(deployment, specs).config(config).run()"
-)]
-pub fn simulate(
-    deployment: &Deployment,
-    specs: &[ServiceSpec],
-    config: &ServingConfig,
-) -> ServingReport {
-    crate::Simulation::new(deployment, specs)
-        .config(config)
-        .run()
-}
-
 /// Salt mixed into the arrival stream seed of ingress classes ≥ 1 so every
 /// class has an independent sample path. Class 0 uses the raw seed, which
-/// keeps single-class runs bit-identical to [`simulate`] from before
-/// ingress classes existed.
-pub(crate) fn class_seed(seed: u64, class: usize) -> u64 {
+/// keeps single-class runs bit-identical to runs from before ingress
+/// classes existed.
+fn class_seed(seed: u64, class: usize) -> u64 {
     seed ^ (class as u64).wrapping_mul(0xA076_1D64_78BD_642F)
 }
 
-/// Run the serving simulation with explicit per-service ingress classes.
-///
-/// `ingress[i]` lists the arrival classes of `specs[i]`; when `ingress` is
-/// empty (or shorter than `specs`) the missing services fall back to one
-/// local class at the spec's rate. A class's `network_ms` is added to every
-/// one of its requests' measured latency and charged against the service
-/// SLO — the RTT term of cross-region serving. Per-class outcomes land in
-/// [`ServingReport::classes`].
-///
-/// Fully deterministic for a given `config.seed`.
-#[must_use]
-#[deprecated(
-    since = "0.2.0",
-    note = "use serve::Simulation::new(deployment, specs).ingress(ingress).config(config).run()"
-)]
-pub fn simulate_with_ingress(
-    deployment: &Deployment,
-    specs: &[ServiceSpec],
-    ingress: &[Vec<IngressClass>],
-    config: &ServingConfig,
-) -> ServingReport {
-    crate::Simulation::new(deployment, specs)
-        .ingress(ingress)
-        .config(config)
-        .run()
+/// The MMPP phase stream of the service with id `id`.
+fn phase_stream(seed: u64, id: u32) -> RngStream {
+    RngStream::new(seed ^ 0x9E37_79B9, u64::from(id))
 }
 
-/// Launch one batch of `size` on `server` (caller checked feasibility).
+/// The serving engine's whole mutable state (see the module docs).
 ///
-/// With a resilience policy, launching is the **commit point** of every
-/// drafted request: its epoch bumps (pending timeout/hedge events go
-/// stale) and, for hedged requests, first-wins cancellation pulls the twin
-/// copy out of the other server's queue — exactly one copy ever executes.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn launch<S: TraceSink>(
-    q: &mut CalendarQueue,
-    servers: &mut [Server],
-    slab: &mut Vec<Vec<(SimTime, u32)>>,
-    slab_comp: &mut Vec<u64>,
-    free: &mut Vec<u32>,
-    server: usize,
-    size: u32,
-    res: &mut Option<ResState>,
-    specs: &[ServiceSpec],
-    win: (SimTime, SimTime),
-    sink: &mut S,
-) {
-    let id = free.pop().unwrap_or_else(|| {
-        slab.push(Vec::new());
-        slab_comp.push(0);
-        (slab.len() - 1) as u32
-    });
-    let batch = &mut slab[id as usize];
-    batch.clear();
-    batch.extend(servers[server].queue.drain(..size as usize));
-    if let Some(rs) = res.as_mut() {
-        let service = servers[server].service;
-        for &(_, rid) in &slab[id as usize] {
-            let r = &mut rs.reqs[rid as usize];
-            r.epoch = r.epoch.wrapping_add(1);
-            let hedge_server = r.hedge_server;
-            let primary = r.server as usize;
-            r.hedge_server = -1;
-            r.server = server as u32;
-            if hedge_server >= 0 {
-                // First-wins: cancel whichever copy is still queued.
-                let hedge_won = hedge_server as usize == server;
-                let twin = if hedge_won {
-                    primary
-                } else {
-                    hedge_server as usize
-                };
-                remove_rid(&mut servers[twin].queue, rid);
-                if hedge_won {
-                    let now = q.now();
-                    if now >= win.0 && now < win.1 {
-                        rs.hedge_wins[service] += 1;
+/// Generic over the trace sink only per call: with
+/// [`parva_obs::NullSink`] every instrumentation branch is `if false` and
+/// monomorphizes away; a recording sink collects request/batch/recovery
+/// spans and per-tick gauges without perturbing a single simulation
+/// decision.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct Engine {
+    specs: Vec<ServiceSpec>,
+    tenants: Vec<Tenant>,
+    /// Master seed and default arrival process: a service appended by a
+    /// reconfigure derives its streams from them.
+    seed: u64,
+    arrivals: ArrivalProcess,
+    /// Every counter accumulates strictly inside `[win_start, win_end)`.
+    win_start: SimTime,
+    win_end: SimTime,
+    /// Epoch length of a streamed run, µs (`0`: no epoch boundaries).
+    epoch_us: u64,
+    /// Fabric generation, bumped by every reconfigure.
+    generation: u64,
+    q: CalendarQueue,
+    servers: Vec<Server>,
+    /// Per service: the router over its servers (`None`: no capacity).
+    routers: Vec<Option<Router>>,
+    /// Per service: global indices of its servers, in router-slot order.
+    service_servers: Vec<Vec<u32>>,
+    /// The resilience layer, strictly inert (`None`) without a policy:
+    /// every code path is then the pre-resilience one, bit-exactly.
+    res: Option<ResState>,
+    /// Per-(service, class) effective attempt timeout (empty without
+    /// timeouts): the class's network term is budget already spent, so
+    /// remote classes time out sooner (floored at zero — an attempt can be
+    /// dead on arrival).
+    res_timeout: Vec<SimTime>,
+    /// Flat per-(service, class) layout: entries of service `i` live at
+    /// `cbase[i] .. cbase[i + 1]` in every class-indexed array.
+    cbase: Vec<usize>,
+    /// Services with exactly one ingress class take a fast accounting path:
+    /// the class-level row provably equals the service-level row (same
+    /// increment conditions, same record sequence), so the hot loop
+    /// maintains only the service row and the report derives the class row.
+    single: Vec<bool>,
+    class_net: Vec<f64>,
+    /// Configured rate of each class, before any demand multiplier.
+    class_base_rate: Vec<f64>,
+    class_rate: Vec<f64>,
+    /// Per-service arrival process: the configured default, unless an
+    /// override targets the service (the noisy-neighbor axis).
+    svc_proc: Vec<ArrivalProcess>,
+    /// Memoryless arrivals everywhere: the hot loop draws the gap straight
+    /// from the class's stream (identical draw to `next_gap`).
+    poisson: bool,
+    /// Tenant binding per service, one admission token bucket per limited
+    /// tenant (shared across the tenant's services — the quota is a
+    /// tenant-wide contract), and per-service rejection counters.
+    svc_tenant_idx: Vec<Option<usize>>,
+    quota: Vec<Option<TokenBucket>>,
+    rejected: Vec<u64>,
+    /// One arrival stream per (service, class).
+    arrival_rng: Vec<RngStream>,
+    /// MMPP phase state per service (ignored by the other processes),
+    /// shared across a service's classes (one demand process, several
+    /// ingress paths). Phase streams are separate RNG streams so flipping
+    /// the arrival process does not perturb the arrival sample paths.
+    bursting: Vec<bool>,
+    phase_until: Vec<SimTime>,
+    phase_rng: Vec<RngStream>,
+    offered: Vec<u64>,
+    completed: Vec<u64>,
+    batches: Vec<u64>,
+    violated: Vec<u64>,
+    within_slo: Vec<u64>,
+    latency: Vec<LatencyHistogram>,
+    class_offered: Vec<u64>,
+    class_completed: Vec<u64>,
+    class_within: Vec<u64>,
+    class_latency: Vec<LatencyHistogram>,
+    /// The recovery whose ops the pending recovery events index.
+    recovery: Option<RecoverySpec>,
+    /// When it began, how many servers it darkened, and when its last op
+    /// completes — what its report is built from.
+    recovery_began: Option<(SimTime, usize, SimTime)>,
+    /// The recycled batch slab and the ids open for reuse — steady-state
+    /// launches allocate nothing.
+    slab: Vec<Batch>,
+    free: Vec<u32>,
+    /// When each server went dark, so the traced `dark` span can be closed
+    /// at its GPU's recovery instant.
+    dark_since: Vec<SimTime>,
+}
+
+impl Engine {
+    /// Build the engine for `sim`'s deployment, load and policies, counting
+    /// inside `[win_start, win_end)`. A positive `epoch_us` books an epoch
+    /// boundary every `epoch_us` µs, each ahead of any traffic at the same
+    /// instant.
+    pub(crate) fn new(
+        sim: &Simulation<'_>,
+        win_start: SimTime,
+        win_end: SimTime,
+        epoch_us: u64,
+    ) -> Self {
+        let specs = sim.specs;
+        let seed = sim.config.seed;
+        let classes: Vec<Vec<IngressClass>> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, s)| match sim.ingress.get(i) {
+                Some(c) if !c.is_empty() => c.clone(),
+                _ => vec![IngressClass::local(s.request_rate_rps)],
+            })
+            .collect();
+        // An inert spec (all mechanisms disabled) is normalized to None.
+        let res = sim
+            .resilience
+            .filter(|r| !r.is_inert())
+            .map(|r| ResState::new(*r, seed, specs.len()));
+        let res_timeout: Vec<SimTime> = match res.as_ref() {
+            Some(rs) if rs.spec.timeout_ms > 0.0 => classes
+                .iter()
+                .flatten()
+                .map(|c| {
+                    SimTime(
+                        SimTime::from_ms(rs.spec.timeout_ms)
+                            .micros()
+                            .saturating_sub(SimTime::from_ms(c.network_ms).micros()),
+                    )
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        let mut cbase: Vec<usize> = Vec::with_capacity(specs.len() + 1);
+        let mut total_classes = 0usize;
+        for cls in &classes {
+            cbase.push(total_classes);
+            total_classes += cls.len();
+        }
+        cbase.push(total_classes);
+        let class_rate: Vec<f64> = classes.iter().flatten().map(|c| c.rate_rps).collect();
+        // With no overrides every entry equals the configured default, so
+        // all draw sequences are bit-identical to the pre-override engine.
+        let svc_proc: Vec<ArrivalProcess> = (0..specs.len())
+            .map(|i| {
+                sim.arrival_overrides
+                    .get(i)
+                    .copied()
+                    .flatten()
+                    .unwrap_or(sim.config.arrivals)
+            })
+            .collect();
+        let mut eng = Self {
+            specs: specs.to_vec(),
+            tenants: sim.tenants.to_vec(),
+            seed,
+            arrivals: sim.config.arrivals,
+            win_start,
+            win_end,
+            epoch_us,
+            generation: 0,
+            q: CalendarQueue::with_capacity(128),
+            servers: Vec::new(),
+            routers: Vec::new(),
+            service_servers: Vec::new(),
+            res,
+            res_timeout,
+            single: classes.iter().map(|c| c.len() == 1).collect(),
+            class_net: classes.iter().flatten().map(|c| c.network_ms).collect(),
+            class_base_rate: class_rate.clone(),
+            class_rate,
+            poisson: svc_proc
+                .iter()
+                .all(|p| matches!(p, ArrivalProcess::Poisson)),
+            svc_proc,
+            svc_tenant_idx: specs.iter().map(|s| tenant_index(sim.tenants, s)).collect(),
+            quota: sim
+                .tenants
+                .iter()
+                .map(|t| t.is_limited().then(|| TokenBucket::new(t.quota_rps)))
+                .collect(),
+            rejected: vec![0; specs.len()],
+            // Class 0 reuses the exact pre-ingress stream derivation for
+            // backwards-identical sample paths.
+            arrival_rng: specs
+                .iter()
+                .zip(&classes)
+                .flat_map(|(s, cls)| {
+                    (0..cls.len()).map(|c| RngStream::new(class_seed(seed, c), u64::from(s.id)))
+                })
+                .collect(),
+            bursting: vec![false; specs.len()],
+            phase_until: vec![SimTime::ZERO; specs.len()],
+            phase_rng: specs.iter().map(|s| phase_stream(seed, s.id)).collect(),
+            offered: vec![0; specs.len()],
+            completed: vec![0; specs.len()],
+            batches: vec![0; specs.len()],
+            violated: vec![0; specs.len()],
+            within_slo: vec![0; specs.len()],
+            latency: vec![LatencyHistogram::new(); specs.len()],
+            class_offered: vec![0; total_classes],
+            class_completed: vec![0; total_classes],
+            class_within: vec![0; total_classes],
+            class_latency: vec![LatencyHistogram::new(); total_classes],
+            recovery: None,
+            recovery_began: None,
+            slab: Vec::new(),
+            free: Vec::new(),
+            dark_since: Vec::new(),
+            cbase,
+        };
+        eng.rebuild_fabric(sim.deployment);
+        if epoch_us > 0 {
+            eng.q.schedule(SimTime(epoch_us), ev(TAG_EPOCH, 0, 0));
+        }
+        // Seed first arrivals (zero-rate classes never generate traffic).
+        for (i, cls) in classes.iter().enumerate() {
+            for c in 0..cls.len() {
+                eng.seed_arrival(i, c);
+            }
+        }
+        // Recovery riding the same queue: the capacity loss fires at
+        // `start_ms`; the op timeline (per-node serialized re-flashes, FIFO
+        // PCIe copies) is booked when it fires. `None`/empty specs schedule
+        // nothing, keeping the plain path bit-identical.
+        if let Some(spec) = sim.recovery.filter(|r| !r.is_empty()) {
+            eng.q.schedule(
+                SimTime::from_ms(spec.start_ms),
+                ev(TAG_RECOVERY_BEGIN, 0, 0),
+            );
+            eng.recovery = Some(spec.clone());
+        }
+        eng
+    }
+
+    /// Rebuild servers, routers and the per-service server lists from
+    /// `deployment` under the current specs and classes.
+    fn rebuild_fabric(&mut self, deployment: &Deployment) {
+        let (mut servers, slots) = build_fabric(deployment, &self.specs);
+        // A class's network term is queueing budget already spent before
+        // the request reached the cluster: its batching deadline shrinks by
+        // the RTT, floored at zero (class 0 keeps the base timeout
+        // bit-exactly).
+        for s in &mut servers {
+            let nets = &self.class_net[self.cbase[s.service]..self.cbase[s.service + 1]];
+            s.class_timeouts = nets
+                .iter()
+                .map(|&net| {
+                    SimTime(
+                        s.batch_timeout
+                            .micros()
+                            .saturating_sub(SimTime::from_ms(net).micros()),
+                    )
+                })
+                .collect();
+        }
+        self.routers = slots
+            .iter()
+            .map(|w| (!w.is_empty()).then(|| Router::new(w.iter().map(|&(_, t)| t).collect())))
+            .collect();
+        self.service_servers = slots
+            .into_iter()
+            .map(|w| w.into_iter().map(|(si, _)| si).collect())
+            .collect();
+        self.dark_since = vec![SimTime::ZERO; servers.len()];
+        self.servers = servers;
+    }
+
+    /// Draw the first arrival of class `c` of service `i` (none for a
+    /// zero-rate class).
+    fn seed_arrival(&mut self, i: usize, c: usize) {
+        if self.class_rate[self.cbase[i] + c] <= 0.0 {
+            return;
+        }
+        let now = self.q.now();
+        let t = now + self.next_gap(i, c, now);
+        self.q.schedule(t, ev(TAG_ARRIVAL, i as u64, c as u64));
+    }
+
+    /// Draw the next interarrival gap for class `c` of service `i` as of
+    /// time `now`, advancing the service's MMPP phase lazily.
+    fn next_gap(&mut self, i: usize, c: usize, now: SimTime) -> SimTime {
+        let flat = self.cbase[i] + c;
+        let rate = self.class_rate[flat];
+        match self.svc_proc[i] {
+            ArrivalProcess::Poisson => self.arrival_rng[flat].exp_interarrival(rate),
+            ArrivalProcess::Deterministic => SimTime::from_secs(1.0 / rate),
+            ArrivalProcess::Mmpp { mean_phase_s, .. } => {
+                while now >= self.phase_until[i] {
+                    self.bursting[i] = !self.bursting[i];
+                    self.phase_until[i] +=
+                        self.phase_rng[i].exp_interarrival(1.0 / mean_phase_s.max(1e-6));
+                }
+                let phase_rate = self.svc_proc[i].phase_rate(rate, self.bursting[i]);
+                self.arrival_rng[flat].exp_interarrival(phase_rate)
+            }
+        }
+    }
+
+    fn in_window(&self, t: SimTime) -> bool {
+        t >= self.win_start && t < self.win_end
+    }
+
+    fn health_checked(&self) -> bool {
+        self.res.as_ref().is_some_and(|rs| rs.spec.health_checked)
+    }
+
+    /// Process events in `(time, FIFO)` order until an epoch boundary pops
+    /// (the next one is booked first), the first event past `stop` pops
+    /// (it is consumed: past `stop` the run is over), or the queue dries.
+    pub(crate) fn run_until<S: TraceSink>(&mut self, stop: SimTime, sink: &mut S) {
+        while let Some((t, payload)) = self.q.pop() {
+            if S::ENABLED {
+                // Deliver any gauge boundaries the simulation clock just
+                // crossed (state as of strictly before `t`), capped at the
+                // window's end.
+                while sink.next_sample_us() < t.micros()
+                    && sink.next_sample_us() <= self.win_end.micros()
+                {
+                    let ts = sink.next_sample_us();
+                    self.sample_gauges(sink, ts);
+                }
+            }
+            if t > stop {
+                break;
+            }
+            let a = ((payload >> A_SHIFT) & A_MASK) as usize;
+            let b = (payload & B_MASK) as usize;
+            match payload >> TAG_SHIFT {
+                TAG_ARRIVAL => self.on_arrival(t, a, b, payload, sink),
+                TAG_DONE => self.on_done(t, a, b, sink),
+                TAG_DEADLINE => {
+                    // Stale deadlines (batch already launched) fall through
+                    // harmlessly: try_start re-evaluates the queue state.
+                    if a as u64 == self.generation & A_MASK {
+                        self.try_start(b, sink);
                     }
-                    if S::ENABLED {
-                        sink.emit(
-                            TraceEvent::instant("hedge-win", "resilience", now.micros())
-                                .pid(PID_SERVE)
-                                .tid(server as u32)
-                                .arg_u64("service", u64::from(specs[service].id)),
-                        );
+                }
+                TAG_RECOVERY_BEGIN => self.begin_recovery(t, sink),
+                TAG_GPU_RECOVERED => {
+                    if b as u64 == self.generation & B_MASK {
+                        self.on_gpu_recovered(t, a, sink);
+                    }
+                }
+                TAG_TIMEOUT => self.on_timeout(t, a, b, sink),
+                TAG_RETRY => self.on_retry(t, a, b, sink),
+                TAG_HEDGE => self.on_hedge(t, a, b, sink),
+                TAG_EPOCH => {
+                    self.q
+                        .schedule_in(SimTime(self.epoch_us), ev(TAG_EPOCH, 0, 0));
+                    return;
+                }
+                _ => unreachable!("unknown event tag"),
+            }
+        }
+    }
+
+    #[inline]
+    fn on_arrival<S: TraceSink>(
+        &mut self,
+        t: SimTime,
+        service: usize,
+        class: usize,
+        payload: u64,
+        sink: &mut S,
+    ) {
+        // Schedule the next arrival while load generation is on.
+        let flat = self.cbase[service] + class;
+        let next = if self.poisson {
+            t + self.arrival_rng[flat].exp_interarrival(self.class_rate[flat])
+        } else {
+            t + self.next_gap(service, class, t)
+        };
+        if next < self.win_end {
+            self.q.schedule(next, payload);
+        }
+        let in_window = self.in_window(t);
+        if in_window {
+            self.offered[service] += 1;
+            if !self.single[service] {
+                self.class_offered[flat] += 1;
+            }
+        }
+        let has_tenants = !self.tenants.is_empty();
+        // Per-tenant admission quota: an over-quota request is rejected and
+        // reported, never silently queued — it still counts as offered,
+        // lands in the rejection counters, and leaves a traced arrival so
+        // `trace audit` can recount per-tenant attainment exactly.
+        if has_tenants {
+            if let Some(ti) = self.svc_tenant_idx[service] {
+                if let Some(bucket) = self.quota[ti].as_mut() {
+                    if !bucket.admit(t) {
+                        if in_window {
+                            self.rejected[service] += 1;
+                        }
+                        if S::ENABLED {
+                            sink.emit(
+                                TraceEvent::instant("arrival", "request", t.micros())
+                                    .pid(PID_SERVE)
+                                    .tid(0)
+                                    .arg_u64("service", u64::from(self.specs[service].id))
+                                    .arg_u64("class", class as u64)
+                                    .arg_u64("tenant", u64::from(self.specs[service].tenant))
+                                    .arg_bool("rejected", true),
+                            );
+                        }
+                        return;
                     }
                 }
             }
         }
-    }
-    servers[server].busy += 1;
-    let n_busy = servers[server].busy;
-    let (cycle, comp_us) = batch_times_memo(servers, server, size, n_busy);
-    slab_comp[id as usize] = comp_us;
-    if S::ENABLED {
-        let now = q.now();
-        // Batch formation: from the oldest member's arrival to launch.
-        let head = slab[id as usize]
-            .iter()
-            .map(|&(t, _)| t)
-            .min()
-            .unwrap_or(now);
-        let service = servers[server].service as u64;
-        sink.emit(
-            TraceEvent::span("batch-form", "batch", head.micros(), spec_dur(head, now))
-                .pid(PID_SERVE)
-                .tid(server as u32)
-                .arg_u64("service", service)
-                .arg_u64("size", u64::from(size)),
-        );
-        sink.emit(
-            TraceEvent::span("execute", "batch", now.micros(), cycle.micros())
-                .pid(PID_SERVE)
-                .tid(server as u32)
-                .arg_u64("service", service)
-                .arg_u64("size", u64::from(size))
-                .arg_u64("n_busy", u64::from(n_busy)),
-        );
-    }
-    q.schedule_in(cycle, ev(TAG_DONE, u64::from(id), server as u64));
-}
-
-/// Adaptive batching: launch full batches eagerly; for a partial queue,
-/// launch once the head request's deadline expires, else arm a deadline.
-/// Dark servers (recovery outstanding on their GPU) launch nothing —
-/// their queues drain when the GPU's recovery op completes.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn try_start<S: TraceSink>(
-    q: &mut CalendarQueue,
-    servers: &mut [Server],
-    slab: &mut Vec<Vec<(SimTime, u32)>>,
-    slab_comp: &mut Vec<u64>,
-    free: &mut Vec<u32>,
-    server: usize,
-    res: &mut Option<ResState>,
-    specs: &[ServiceSpec],
-    win: (SimTime, SimTime),
-    sink: &mut S,
-) {
-    loop {
-        let s = &servers[server];
-        if s.dark || s.busy >= s.procs {
+        let Some(router) = self.routers[service].as_mut() else {
             return;
-        }
-        let queued = s.queue.len();
-        let full = s.batch;
-        if queued >= full as usize {
-            launch(
-                q, servers, slab, slab_comp, free, server, full, res, specs, win, sink,
-            );
-            continue;
-        }
-        if queued == 0 {
-            return;
-        }
-        let (head, x) = *s.queue.front().expect("non-empty");
-        // Queue entries carry the ingress class directly, or (with a
-        // resilience policy) a request id the class is looked up through.
-        let class = match res.as_ref() {
-            Some(rs) => rs.reqs[x as usize].class,
-            None => x,
         };
-        let timeout = s
-            .class_timeouts
-            .get(class as usize)
-            .copied()
-            .unwrap_or(s.batch_timeout);
-        let deadline = head + timeout;
-        if q.now() >= deadline {
-            let size = (queued as u32).min(full);
-            launch(
-                q, servers, slab, slab_comp, free, server, size, res, specs, win, sink,
+        let sidx = self.service_servers[service][router.route()] as usize;
+        if S::ENABLED {
+            let mut arrival = TraceEvent::instant("arrival", "request", t.micros())
+                .pid(PID_SERVE)
+                .tid(sidx as u32)
+                .arg_u64("service", u64::from(self.specs[service].id))
+                .arg_u64("class", class as u64);
+            if has_tenants {
+                arrival = arrival.arg_u64("tenant", u64::from(self.specs[service].tenant));
+            }
+            sink.emit(arrival);
+        }
+        // Queue-depth load shedding: an arrival routed to a server already
+        // holding `shed_queue_depth` requests is dropped (counted as
+        // offered, never served) — bounded queues instead of unbounded
+        // latency.
+        if let Some(rs) = self.res.as_mut() {
+            let depth = rs.spec.shed_queue_depth as usize;
+            if depth > 0 && self.servers[sidx].queue.len() >= depth {
+                if in_window {
+                    rs.shed[service] += 1;
+                }
+                if S::ENABLED {
+                    sink.emit(
+                        TraceEvent::instant("shed", "resilience", t.micros())
+                            .pid(PID_SERVE)
+                            .tid(sidx as u32)
+                            .arg_u64("service", u64::from(self.specs[service].id)),
+                    );
+                }
+                return;
+            }
+        }
+        let entry = match self.res.as_mut().filter(|rs| rs.tracks_requests()) {
+            Some(rs) => {
+                let rid = rs.alloc(service as u32, class as u32, t, sidx as u32);
+                let epoch = u64::from(rs.reqs[rid as usize].epoch) & B_MASK;
+                if rs.spec.timeout_ms > 0.0 {
+                    let fire = t + self.res_timeout[flat];
+                    // Events past the window can never be observed (the
+                    // loop breaks there) — skip booking them at all.
+                    if fire <= self.win_end {
+                        self.q
+                            .schedule(fire, ev(TAG_TIMEOUT, u64::from(rid), epoch));
+                    }
+                }
+                if rs.spec.hedge_quantile > 0.0 {
+                    let fire = t + hedge_delay(
+                        &self.latency[service],
+                        &self.specs[service],
+                        rs.spec.hedge_quantile,
+                    );
+                    if fire <= self.win_end {
+                        self.q.schedule(fire, ev(TAG_HEDGE, u64::from(rid), epoch));
+                    }
+                }
+                (t, rid)
+            }
+            None => (t, class as u32),
+        };
+        self.servers[sidx].queue.push_back(entry);
+        self.try_start(sidx, sink);
+    }
+
+    /// A batch completed. It always counts, against the service stored in
+    /// its slab entry; its capacity returns only to a server of the
+    /// current generation (a reconfigure may have replaced it).
+    #[inline]
+    fn on_done<S: TraceSink>(&mut self, t: SimTime, batch_id: usize, server: usize, sink: &mut S) {
+        let service = self.slab[batch_id].service as usize;
+        let live = self.slab[batch_id].generation == self.generation;
+        if live {
+            self.servers[server].busy -= 1;
+        }
+        if S::ENABLED {
+            // One request-lifecycle span per member: arrival → completion,
+            // tagged ok/miss against the SLO (network RTT included, exactly
+            // as accounted). With a resilience policy the span runs from
+            // the request's *first* arrival — retried attempts pay for the
+            // time their failed predecessors burned.
+            let slo_ms = self.specs[service].slo.latency_ms;
+            let base = self.cbase[service];
+            let table = self.res.as_ref().filter(|rs| rs.tracks_requests());
+            for &(enq, x) in &self.slab[batch_id].members {
+                let (arrived, class) = match table {
+                    Some(rs) => {
+                        let r = &rs.reqs[x as usize];
+                        (r.first_arrival, r.class)
+                    }
+                    None => (enq, x),
+                };
+                let lat_ms = t.since(arrived).as_ms() + self.class_net[base + class as usize];
+                let mut span =
+                    TraceEvent::span("request", "request", arrived.micros(), spec_dur(arrived, t))
+                        .pid(PID_SERVE)
+                        .tid(server as u32)
+                        .arg_u64("service", u64::from(self.specs[service].id))
+                        .arg_u64("class", u64::from(class))
+                        .arg_f64("latency_ms", lat_ms)
+                        .arg_bool("ok", lat_ms <= slo_ms);
+                if !self.tenants.is_empty() {
+                    span = span.arg_u64("tenant", u64::from(self.specs[service].tenant));
+                }
+                sink.emit(span);
+            }
+        }
+        if self.in_window(t) {
+            if live {
+                self.servers[server].busy_comp_us += self.slab[batch_id].comp_us;
+            }
+            self.batches[service] += 1;
+            let slo_ms = self.specs[service].slo.latency_ms;
+            let base = self.cbase[service];
+            let single_class = self.single[service];
+            let hist = &mut self.latency[service];
+            let table = self.res.as_ref().filter(|rs| rs.tracks_requests());
+            let mut done_n = 0u64;
+            let mut ok_n = 0u64;
+            let mut worst = 0.0f64;
+            for &(enq, x) in &self.slab[batch_id].members {
+                let (arrived, class) = match table {
+                    Some(rs) => {
+                        let r = &rs.reqs[x as usize];
+                        (r.first_arrival, r.class)
+                    }
+                    None => (enq, x),
+                };
+                let c = class as usize;
+                // The RTT term: network latency already spent by this
+                // ingress class counts against the SLO.
+                let lat_ms = t.since(arrived).as_ms() + self.class_net[base + c];
+                hist.record_ms(lat_ms);
+                worst = worst.max(lat_ms);
+                done_n += 1;
+                let ok = lat_ms <= slo_ms;
+                ok_n += u64::from(ok);
+                if !single_class {
+                    self.class_latency[base + c].record_ms(lat_ms);
+                    self.class_completed[base + c] += 1;
+                    if ok {
+                        self.class_within[base + c] += 1;
+                    }
+                }
+            }
+            self.completed[service] += done_n;
+            self.within_slo[service] += ok_n;
+            if worst > slo_ms {
+                self.violated[service] += 1;
+            }
+        }
+        if let Some(rs) = self.res.as_mut().filter(|rs| rs.tracks_requests()) {
+            // Completed requests retire: epoch bump stales any straggler
+            // timeout/hedge events, the id recycles.
+            for &(_, rid) in &self.slab[batch_id].members {
+                rs.free_req(rid);
+            }
+        }
+        self.free.push(batch_id as u32);
+        if live {
+            self.try_start(server, sink);
+        }
+    }
+
+    /// Recovery begins at `t`: darken every server on a GPU the ops name
+    /// (draining it from health-checked routing), book the op timeline and
+    /// schedule each GPU's return.
+    fn begin_recovery<S: TraceSink>(&mut self, t: SimTime, sink: &mut S) {
+        let health_checked = self.health_checked();
+        let spec = self
+            .recovery
+            .as_ref()
+            .expect("recovery event without a spec");
+        let mut dark = 0usize;
+        for op in &spec.ops {
+            let Some(g) = op.logical_gpu else { continue };
+            for (si, s) in self.servers.iter_mut().enumerate() {
+                if s.gpu == g && !s.dark {
+                    s.dark = true;
+                    dark += 1;
+                    self.dark_since[si] = t;
+                    // Health-checked routing: a dark server is drained —
+                    // new arrivals go to its healthy siblings instead of
+                    // queueing on a corpse.
+                    if health_checked {
+                        if let Some(r) = self.routers[s.service].as_mut() {
+                            r.set_healthy(s.slot, false);
+                        }
+                    }
+                }
+            }
+        }
+        if S::ENABLED {
+            sink.emit(
+                TraceEvent::instant("recovery-begin", "recovery", t.micros())
+                    .pid(PID_SERVE)
+                    .arg_u64("dark_servers", dark as u64)
+                    .arg_u64("ops", spec.ops.len() as u64),
             );
-        } else {
-            q.schedule(deadline, ev(TAG_DEADLINE, 0, server as u64));
         }
-        return;
-    }
-}
-
-/// Run the serving simulation with recovery work riding the same event
-/// queue as the traffic.
-///
-/// `recovery` lowers a fleet migration into simulator events: at
-/// [`RecoverySpec::start_ms`] the affected servers go **dark** (requests
-/// keep arriving and queueing, batches stop launching), the control plane
-/// reacts, MIG re-flashes serialize per node, and weight copies queue FIFO
-/// on each node's PCIe link. Servers light back up as their GPU's op
-/// completes, so the disruption-window compliance dip and the end-to-end
-/// recovery latency are *measured* outcomes of the DES
-/// ([`ServingReport::recovery`]), not closed-form estimates. `None` (or an
-/// empty spec) is bit-identical to a recovery-free run.
-///
-/// Fully deterministic for a given `config.seed`.
-#[must_use]
-#[deprecated(
-    since = "0.2.0",
-    note = "use serve::Simulation::new(deployment, specs).ingress(ingress)\
-            .recovery_opt(recovery).config(config).run()"
-)]
-pub fn simulate_with_recovery(
-    deployment: &Deployment,
-    specs: &[ServiceSpec],
-    ingress: &[Vec<IngressClass>],
-    recovery: Option<&RecoverySpec>,
-    config: &ServingConfig,
-) -> ServingReport {
-    crate::Simulation::new(deployment, specs)
-        .ingress(ingress)
-        .recovery_opt(recovery)
-        .config(config)
-        .run()
-}
-
-/// Deliver the gauge rows for one sampling boundary: an aggregate
-/// `tick` row (queue depth, in-flight batches, GPU busy fraction, dark
-/// servers) followed by one `service` row per service with its
-/// cumulative in-window SLO attainment, and — only when tenants are
-/// configured — a `tenant` column on the service rows plus one `tenant`
-/// row per tenant with its admission/attainment rollup. All values derive
-/// from simulation state only, so sampled series are byte-identical
-/// across runs, and tenant-free runs emit rows byte-identical to the
-/// pre-tenant schema.
-#[allow(clippy::too_many_arguments)]
-fn sample_serve_gauges<S: TraceSink>(
-    sink: &mut S,
-    ts_us: u64,
-    servers: &[Server],
-    specs: &[ServiceSpec],
-    tenants: &[Tenant],
-    offered: &[u64],
-    completed: &[u64],
-    within_slo: &[u64],
-    rejected: &[u64],
-    res: Option<&ResState>,
-) {
-    let t_ms = ts_us as f64 / 1_000.0;
-    let mut queue_depth = 0u64;
-    let mut inflight = 0u64;
-    let mut busy_procs = 0u64;
-    let mut total_procs = 0u64;
-    let mut dark = 0u64;
-    for s in servers {
-        queue_depth += s.queue.len() as u64;
-        inflight += u64::from(s.busy);
-        busy_procs += u64::from(s.busy);
-        total_procs += u64::from(s.procs);
-        dark += u64::from(s.dark);
-    }
-    let all_completed: u64 = completed.iter().sum();
-    let all_within: u64 = within_slo.iter().sum();
-    let attainment = |within: u64, done: u64| {
-        if done == 0 {
-            1.0
-        } else {
-            within as f64 / done as f64
+        let timeline = recovery_timeline(spec, t, sink);
+        let mut last = t + SimTime::from_ms(spec.control_plane_ms);
+        for (i, ready) in timeline.iter().enumerate() {
+            self.q.schedule(
+                *ready,
+                ev(TAG_GPU_RECOVERED, i as u64, self.generation & B_MASK),
+            );
+            last = last.max(*ready);
         }
-    };
-    let mut tick = Row::new()
-        .str("kind", "tick")
-        .f64("t_ms", t_ms)
-        .u64("queue_depth", queue_depth)
-        .u64("inflight_batches", inflight)
-        .f64(
-            "gpu_busy_frac",
-            if total_procs == 0 {
-                0.0
+        self.recovery_began = Some((t, dark, last));
+    }
+
+    /// Recovery op `op` finished: light its GPU up.
+    fn on_gpu_recovered<S: TraceSink>(&mut self, t: SimTime, op: usize, sink: &mut S) {
+        let spec = self
+            .recovery
+            .as_ref()
+            .expect("recovery event without a spec");
+        let Some(g) = spec.ops[op].logical_gpu else {
+            return;
+        };
+        let health_checked = self.health_checked();
+        for si in 0..self.servers.len() {
+            if self.servers[si].gpu != g || !self.servers[si].dark {
+                continue;
+            }
+            self.servers[si].dark = false;
+            if S::ENABLED {
+                // Close the server's dark window: capacity was offline from
+                // recovery-begin to now.
+                let since = self.dark_since[si];
+                sink.emit(
+                    TraceEvent::span("dark", "recovery", since.micros(), spec_dur(since, t))
+                        .pid(PID_SERVE)
+                        .tid(si as u32)
+                        .arg_u64("gpu", g as u64),
+                );
+                sink.emit(
+                    TraceEvent::instant("live", "recovery", t.micros())
+                        .pid(PID_SERVE)
+                        .tid(si as u32)
+                        .arg_u64("gpu", g as u64),
+                );
+            }
+            // Re-admit to health-checked routing: credit accumulated while
+            // drained, so the recovered server catches up on its fair share.
+            if health_checked {
+                let s = &self.servers[si];
+                if let Some(r) = self.routers[s.service].as_mut() {
+                    r.set_healthy(s.slot, true);
+                }
+            }
+            self.try_start(si, sink);
+        }
+    }
+
+    /// Attempt timeout: pull the request (and its hedge twin) out of the
+    /// queues, then retry if the attempt cap and the cluster-wide retry
+    /// budget both allow — else give up.
+    fn on_timeout<S: TraceSink>(&mut self, t: SimTime, a: usize, b: usize, sink: &mut S) {
+        let in_window = self.in_window(t);
+        let rs = self.res.as_mut().expect("resilience event without state");
+        if !rs.epoch_current(a, b) {
+            return; // already launched / completed / retired
+        }
+        let rid = a as u32;
+        let (service, primary, hedge) = {
+            let r = &rs.reqs[a];
+            (r.service as usize, r.server as usize, r.hedge_server)
+        };
+        remove_rid(&mut self.servers[primary].queue, rid);
+        if hedge >= 0 {
+            remove_rid(&mut self.servers[hedge as usize].queue, rid);
+        }
+        if in_window {
+            rs.timeouts[service] += 1;
+        }
+        if S::ENABLED {
+            sink.emit(
+                TraceEvent::instant("timeout", "resilience", t.micros())
+                    .pid(PID_SERVE)
+                    .tid(primary as u32)
+                    .arg_u64("service", u64::from(self.specs[service].id)),
+            );
+        }
+        let attempts = {
+            let r = &mut rs.reqs[a];
+            r.epoch = r.epoch.wrapping_add(1);
+            r.hedge_server = -1;
+            r.attempts
+        };
+        let can_retry = attempts < rs.spec.max_retries;
+        // The budget is only consulted for retries that would actually
+        // happen — a drained bucket is what breaks the metastable feedback
+        // loop under overload.
+        let admitted = can_retry && rs.budget.as_mut().is_none_or(|bk| bk.admit(t));
+        if admitted {
+            let mut delay_ms =
+                rs.spec.backoff_base_ms * rs.spec.backoff_multiplier.powi(attempts as i32);
+            if rs.spec.jitter > 0.0 {
+                // Draw only when configured: zero-jitter runs share the
+                // no-resilience RNG state bit-exactly.
+                delay_ms *= 1.0 + rs.spec.jitter * rs.rng.uniform();
+            }
+            let fire = t + SimTime::from_ms(delay_ms);
+            if fire <= self.win_end {
+                let epoch = u64::from(rs.reqs[a].epoch) & B_MASK;
+                self.q.schedule(fire, ev(TAG_RETRY, u64::from(rid), epoch));
             } else {
-                busy_procs as f64 / total_procs as f64
-            },
-        )
-        .u64("dark_servers", dark)
-        .u64("offered", offered.iter().sum())
-        .u64("completed", all_completed)
-        .u64("within_slo", all_within)
-        .f64("slo_attainment", attainment(all_within, all_completed));
-    // Resilience columns ride the tick row only when a policy is active,
-    // so resilience-free runs keep the pre-resilience gauge schema
-    // byte-exactly. Values are cumulative in-window counts, like the
-    // offered/completed columns beside them.
-    if let Some(rs) = res {
-        tick = tick
-            .u64("timeouts", rs.timeouts.iter().sum())
-            .u64("retries", rs.retries.iter().sum())
-            .u64("shed", rs.shed.iter().sum())
-            .u64("hedges", rs.hedges.iter().sum())
-            .u64("hedge_wins", rs.hedge_wins.iter().sum());
-    }
-    sink.sample(tick);
-    let has_tenants = !tenants.is_empty();
-    for (i, spec) in specs.iter().enumerate() {
-        let mut row = Row::new()
-            .str("kind", "service")
-            .f64("t_ms", t_ms)
-            .u64("service", u64::from(spec.id))
-            .u64("offered", offered[i])
-            .u64("completed", completed[i])
-            .u64("within_slo", within_slo[i])
-            .f64("slo_attainment", attainment(within_slo[i], completed[i]));
-        if has_tenants {
-            row = row.u64("tenant", u64::from(spec.tenant));
+                rs.free_req(rid);
+            }
+        } else {
+            rs.free_req(rid);
         }
-        sink.sample(row);
     }
-    if has_tenants {
-        for t in tenants {
+
+    /// Backoff expired: re-route the request as a fresh attempt (sheddable
+    /// like any arrival — a shed retry is a shed, not a retry).
+    fn on_retry<S: TraceSink>(&mut self, t: SimTime, a: usize, b: usize, sink: &mut S) {
+        let in_window = self.in_window(t);
+        let Some(rs) = self.res.as_mut() else { return };
+        if !rs.epoch_current(a, b) {
+            return;
+        }
+        let rid = a as u32;
+        let service = rs.reqs[a].service as usize;
+        let Some(router) = self.routers[service].as_mut() else {
+            rs.free_req(rid);
+            return;
+        };
+        let sidx = self.service_servers[service][router.route()] as usize;
+        let depth = rs.spec.shed_queue_depth as usize;
+        if depth > 0 && self.servers[sidx].queue.len() >= depth {
+            if in_window {
+                rs.shed[service] += 1;
+            }
+            if S::ENABLED {
+                sink.emit(
+                    TraceEvent::instant("shed", "resilience", t.micros())
+                        .pid(PID_SERVE)
+                        .tid(sidx as u32)
+                        .arg_u64("service", u64::from(self.specs[service].id)),
+                );
+            }
+            rs.free_req(rid);
+            return;
+        }
+        {
+            let r = &mut rs.reqs[a];
+            r.attempts += 1;
+            r.server = sidx as u32;
+        }
+        if in_window {
+            rs.retries[service] += 1;
+        }
+        if S::ENABLED {
+            sink.emit(
+                TraceEvent::instant("retry", "resilience", t.micros())
+                    .pid(PID_SERVE)
+                    .tid(sidx as u32)
+                    .arg_u64("service", u64::from(self.specs[service].id)),
+            );
+        }
+        // Re-arm the attempt's timeout and hedge against the epoch set at
+        // the timeout that spawned this retry.
+        let epoch = u64::from(rs.reqs[a].epoch) & B_MASK;
+        if rs.spec.timeout_ms > 0.0 {
+            let class = rs.reqs[a].class as usize;
+            let fire = t + self.res_timeout[self.cbase[service] + class];
+            if fire <= self.win_end {
+                self.q
+                    .schedule(fire, ev(TAG_TIMEOUT, u64::from(rid), epoch));
+            }
+        }
+        if rs.spec.hedge_quantile > 0.0 {
+            let fire = t + hedge_delay(
+                &self.latency[service],
+                &self.specs[service],
+                rs.spec.hedge_quantile,
+            );
+            if fire <= self.win_end {
+                self.q.schedule(fire, ev(TAG_HEDGE, u64::from(rid), epoch));
+            }
+        }
+        self.servers[sidx].queue.push_back((t, rid));
+        self.try_start(sidx, sink);
+    }
+
+    /// Hedge-fire: the attempt outlived the service's p-quantile latency;
+    /// enqueue a second copy on another server. First copy to launch wins;
+    /// `launch` cancels the twin. Epoch discipline guarantees at most one
+    /// pending hedge per attempt.
+    fn on_hedge<S: TraceSink>(&mut self, t: SimTime, a: usize, b: usize, sink: &mut S) {
+        let in_window = self.in_window(t);
+        let Some(rs) = self.res.as_mut() else { return };
+        if !rs.epoch_current(a, b) {
+            return;
+        }
+        let rid = a as u32;
+        let (service, primary) = {
+            let r = &rs.reqs[a];
+            (r.service as usize, r.server as usize)
+        };
+        let Some(router) = self.routers[service].as_mut() else {
+            return;
+        };
+        let sidx = self.service_servers[service][router.route()] as usize;
+        if sidx == primary {
+            // No alternative server drawn — nothing to hedge to.
+            return;
+        }
+        let depth = rs.spec.shed_queue_depth as usize;
+        if depth > 0 && self.servers[sidx].queue.len() >= depth {
+            return; // hedges are best-effort: full queue, no copy
+        }
+        rs.reqs[a].hedge_server = sidx as i64;
+        if in_window {
+            rs.hedges[service] += 1;
+        }
+        if S::ENABLED {
+            sink.emit(
+                TraceEvent::instant("hedge", "resilience", t.micros())
+                    .pid(PID_SERVE)
+                    .tid(sidx as u32)
+                    .arg_u64("service", u64::from(self.specs[service].id)),
+            );
+        }
+        self.servers[sidx].queue.push_back((t, rid));
+        self.try_start(sidx, sink);
+    }
+
+    /// Launch one batch of `size` on `server` (caller checked feasibility).
+    ///
+    /// With a resilience policy, launching is the **commit point** of every
+    /// drafted request: its epoch bumps (pending timeout/hedge events go
+    /// stale) and, for hedged requests, first-wins cancellation pulls the
+    /// twin copy out of the other server's queue — exactly one copy ever
+    /// executes.
+    #[inline]
+    fn launch<S: TraceSink>(&mut self, server: usize, size: u32, sink: &mut S) {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(Batch::default());
+            (self.slab.len() - 1) as u32
+        }) as usize;
+        let service = self.servers[server].service;
+        let batch = &mut self.slab[id];
+        batch.members.clear();
+        batch
+            .members
+            .extend(self.servers[server].queue.drain(..size as usize));
+        batch.service = service as u32;
+        batch.generation = self.generation;
+        if let Some(rs) = self.res.as_mut().filter(|rs| rs.tracks_requests()) {
+            for &(_, rid) in &self.slab[id].members {
+                let r = &mut rs.reqs[rid as usize];
+                r.epoch = r.epoch.wrapping_add(1);
+                let hedge_server = r.hedge_server;
+                let primary = r.server as usize;
+                r.hedge_server = -1;
+                r.server = server as u32;
+                if hedge_server >= 0 {
+                    // First-wins: cancel whichever copy is still queued.
+                    let hedge_won = hedge_server as usize == server;
+                    let twin = if hedge_won {
+                        primary
+                    } else {
+                        hedge_server as usize
+                    };
+                    remove_rid(&mut self.servers[twin].queue, rid);
+                    if hedge_won {
+                        let now = self.q.now();
+                        if now >= self.win_start && now < self.win_end {
+                            rs.hedge_wins[service] += 1;
+                        }
+                        if S::ENABLED {
+                            sink.emit(
+                                TraceEvent::instant("hedge-win", "resilience", now.micros())
+                                    .pid(PID_SERVE)
+                                    .tid(server as u32)
+                                    .arg_u64("service", u64::from(self.specs[service].id)),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        self.servers[server].busy += 1;
+        let n_busy = self.servers[server].busy;
+        let (cycle, comp_us) = batch_times_memo(&mut self.servers, server, size, n_busy);
+        self.slab[id].comp_us = comp_us;
+        if S::ENABLED {
+            let now = self.q.now();
+            // Batch formation: from the oldest member's arrival to launch.
+            let head = self.slab[id]
+                .members
+                .iter()
+                .map(|&(t, _)| t)
+                .min()
+                .unwrap_or(now);
+            sink.emit(
+                TraceEvent::span("batch-form", "batch", head.micros(), spec_dur(head, now))
+                    .pid(PID_SERVE)
+                    .tid(server as u32)
+                    .arg_u64("service", service as u64)
+                    .arg_u64("size", u64::from(size)),
+            );
+            sink.emit(
+                TraceEvent::span("execute", "batch", now.micros(), cycle.micros())
+                    .pid(PID_SERVE)
+                    .tid(server as u32)
+                    .arg_u64("service", service as u64)
+                    .arg_u64("size", u64::from(size))
+                    .arg_u64("n_busy", u64::from(n_busy)),
+            );
+        }
+        self.q
+            .schedule_in(cycle, ev(TAG_DONE, id as u64, server as u64));
+    }
+
+    /// Adaptive batching: launch full batches eagerly; for a partial queue,
+    /// launch once the head request's deadline expires, else arm a
+    /// deadline. Dark servers (recovery outstanding on their GPU) launch
+    /// nothing — their queues drain when the GPU's recovery op completes.
+    #[inline]
+    fn try_start<S: TraceSink>(&mut self, server: usize, sink: &mut S) {
+        loop {
+            let s = &self.servers[server];
+            if s.dark || s.busy >= s.procs {
+                return;
+            }
+            let queued = s.queue.len();
+            let full = s.batch;
+            if queued >= full as usize {
+                self.launch(server, full, sink);
+                continue;
+            }
+            if queued == 0 {
+                return;
+            }
+            let (head, x) = *s.queue.front().expect("non-empty");
+            // Queue entries carry the ingress class directly, or (when the
+            // resilience policy tracks requests) a request id the class is
+            // looked up through.
+            let class = match self.res.as_ref().filter(|rs| rs.tracks_requests()) {
+                Some(rs) => rs.reqs[x as usize].class,
+                None => x,
+            };
+            let timeout = s
+                .class_timeouts
+                .get(class as usize)
+                .copied()
+                .unwrap_or(s.batch_timeout);
+            let deadline = head + timeout;
+            if self.q.now() >= deadline {
+                let size = (queued as u32).min(full);
+                self.launch(server, size, sink);
+            } else {
+                self.q.schedule(
+                    deadline,
+                    ev(TAG_DEADLINE, self.generation & A_MASK, server as u64),
+                );
+            }
+            return;
+        }
+    }
+
+    /// Swap the deployment (and service set) under the live request table.
+    ///
+    /// Queued requests are parked, the fabric is rebuilt under a new
+    /// generation, recovery (if any) begins now — servers on the GPUs it
+    /// names go dark until their measured re-flash/copy completes — and the
+    /// parked requests are re-routed through the new routers in arrival
+    /// order (a service left without capacity loses them). In-flight
+    /// batches complete and count; their capacity dies with their old
+    /// servers. Services in `specs` beyond the current ones are appended
+    /// with one local ingress class at their spec rate.
+    ///
+    /// # Panics
+    /// A `specs` list that drops or reorders existing services, or a
+    /// resilience policy with timeouts or hedging (their pending events
+    /// address servers by index).
+    pub(crate) fn reconfigure<S: TraceSink>(
+        &mut self,
+        deployment: &Deployment,
+        specs: Vec<ServiceSpec>,
+        recovery: Option<&RecoverySpec>,
+        sink: &mut S,
+    ) {
+        let old_n = self.specs.len();
+        assert!(
+            specs.len() >= old_n
+                && specs
+                    .iter()
+                    .zip(&self.specs)
+                    .all(|(new, old)| new.id == old.id),
+            "reconfigure must preserve existing services (append-only)"
+        );
+        // Without timeouts or hedging no event addresses a request by its
+        // server, and queue entries are plain `(arrival, class)` pairs.
+        assert!(
+            self.res.as_ref().is_none_or(|rs| !rs.tracks_requests()),
+            "reconfigure under a timeout or hedge policy is unsupported"
+        );
+        // Park every queued request (in-flight batches ride the slab).
+        let mut parked: Vec<(SimTime, usize, u32)> = Vec::new();
+        for s in &mut self.servers {
+            let service = s.service;
+            parked.extend(s.queue.drain(..).map(|(t, x)| (t, service, x)));
+        }
+        parked.sort_by_key(|&(t, _, _)| t);
+
+        self.generation += 1;
+        for spec in &specs[old_n..] {
+            self.add_service(*spec);
+        }
+        self.specs = specs;
+        self.rebuild_fabric(deployment);
+        self.recovery = recovery.filter(|r| !r.is_empty()).cloned();
+        if self.recovery.is_some() {
+            self.begin_recovery(self.q.now(), sink);
+        }
+
+        for (t, service, class) in parked {
+            let Some(router) = self.routers[service].as_mut() else {
+                continue; // no capacity anywhere: the request is lost
+            };
+            let sidx = self.service_servers[service][router.route()] as usize;
+            self.servers[sidx].queue.push_back((t, class));
+        }
+        for si in 0..self.servers.len() {
+            self.try_start(si, sink);
+        }
+        if S::ENABLED {
+            sink.emit(
+                TraceEvent::instant("reconfigure", "parvad", self.q.now().micros())
+                    .pid(PID_SERVE)
+                    .arg_u64("generation", self.generation)
+                    .arg_u64("gpus", deployment.gpu_count() as u64)
+                    .arg_u64("servers", self.servers.len() as u64),
+            );
+        }
+    }
+
+    /// Append one service with a single local ingress class at its spec
+    /// rate, and book its first arrival.
+    fn add_service(&mut self, spec: ServiceSpec) {
+        let i = self.specs.len();
+        self.specs.push(spec);
+        for counter in [
+            &mut self.offered,
+            &mut self.completed,
+            &mut self.batches,
+            &mut self.violated,
+            &mut self.within_slo,
+            &mut self.rejected,
+            &mut self.class_offered,
+            &mut self.class_completed,
+            &mut self.class_within,
+        ] {
+            counter.push(0);
+        }
+        self.latency.push(LatencyHistogram::new());
+        self.class_latency.push(LatencyHistogram::new());
+        if let Some(rs) = self.res.as_mut() {
+            rs.add_service();
+        }
+        self.svc_tenant_idx.push(tenant_index(&self.tenants, &spec));
+        self.cbase.push(self.cbase[i] + 1);
+        self.single.push(true);
+        self.class_net.push(0.0);
+        self.class_base_rate.push(spec.request_rate_rps);
+        self.class_rate.push(spec.request_rate_rps);
+        self.arrival_rng
+            .push(RngStream::new(class_seed(self.seed, 0), u64::from(spec.id)));
+        self.svc_proc.push(self.arrivals);
+        self.poisson &= matches!(self.arrivals, ArrivalProcess::Poisson);
+        self.bursting.push(false);
+        self.phase_until.push(SimTime::ZERO);
+        self.phase_rng.push(phase_stream(self.seed, spec.id));
+        self.seed_arrival(i, 0);
+    }
+
+    /// Scale every service's offered load: class rates become
+    /// `configured × per_service[service]` (missing entries: 1) from each
+    /// class's next arrival draw on.
+    ///
+    /// # Panics
+    /// Non-positive or non-finite multipliers (a dead arrival stream can
+    /// never restart itself).
+    pub(crate) fn set_demand_multiplier(&mut self, per_service: &[f64]) {
+        for i in 0..self.specs.len() {
+            let m = per_service.get(i).copied().unwrap_or(1.0);
+            assert!(m.is_finite() && m > 0.0, "demand multiplier must be > 0");
+            for f in self.cbase[i]..self.cbase[i + 1] {
+                self.class_rate[f] = self.class_base_rate[f] * m;
+            }
+        }
+    }
+
+    /// Current simulation time.
+    pub(crate) fn now(&self) -> SimTime {
+        self.q.now()
+    }
+
+    /// The event queue (for its counters).
+    pub(crate) fn queue(&self) -> &CalendarQueue {
+        &self.q
+    }
+
+    /// The services served, in engine order.
+    pub(crate) fn specs(&self) -> &[ServiceSpec] {
+        &self.specs
+    }
+
+    /// Servers currently dark (recovery outstanding on their GPU).
+    pub(crate) fn dark_servers(&self) -> usize {
+        self.servers.iter().filter(|s| s.dark).count()
+    }
+
+    /// Requests waiting in server queues.
+    pub(crate) fn queue_depth(&self) -> u64 {
+        self.servers.iter().map(|s| s.queue.len() as u64).sum()
+    }
+
+    /// Servers of service `i`.
+    pub(crate) fn replicas(&self, i: usize) -> usize {
+        self.service_servers[i].len()
+    }
+
+    /// In-window `(offered, completed, within_slo)` of service `i`.
+    pub(crate) fn totals(&self, i: usize) -> (u64, u64, u64) {
+        (self.offered[i], self.completed[i], self.within_slo[i])
+    }
+
+    /// In-window latency distribution of every service.
+    pub(crate) fn latency(&self) -> &[LatencyHistogram] {
+        &self.latency
+    }
+
+    /// Deliver the gauge rows for one sampling boundary: an aggregate
+    /// `tick` row (queue depth, in-flight batches, GPU busy fraction, dark
+    /// servers) followed by one `service` row per service with its
+    /// cumulative in-window SLO attainment, and — only when tenants are
+    /// configured — a `tenant` column on the service rows plus one `tenant`
+    /// row per tenant with its admission/attainment rollup. All values
+    /// derive from simulation state only, so sampled series are
+    /// byte-identical across runs, and tenant-free runs emit rows
+    /// byte-identical to the pre-tenant schema.
+    fn sample_gauges<S: TraceSink>(&self, sink: &mut S, ts_us: u64) {
+        let t_ms = ts_us as f64 / 1_000.0;
+        let mut queue_depth = 0u64;
+        let mut inflight = 0u64;
+        let mut busy_procs = 0u64;
+        let mut total_procs = 0u64;
+        let mut dark = 0u64;
+        for s in &self.servers {
+            queue_depth += s.queue.len() as u64;
+            inflight += u64::from(s.busy);
+            busy_procs += u64::from(s.busy);
+            total_procs += u64::from(s.procs);
+            dark += u64::from(s.dark);
+        }
+        let all_completed: u64 = self.completed.iter().sum();
+        let all_within: u64 = self.within_slo.iter().sum();
+        let attainment = |within: u64, done: u64| {
+            if done == 0 {
+                1.0
+            } else {
+                within as f64 / done as f64
+            }
+        };
+        let mut tick = Row::new()
+            .str("kind", "tick")
+            .f64("t_ms", t_ms)
+            .u64("queue_depth", queue_depth)
+            .u64("inflight_batches", inflight)
+            .f64(
+                "gpu_busy_frac",
+                if total_procs == 0 {
+                    0.0
+                } else {
+                    busy_procs as f64 / total_procs as f64
+                },
+            )
+            .u64("dark_servers", dark)
+            .u64("offered", self.offered.iter().sum())
+            .u64("completed", all_completed)
+            .u64("within_slo", all_within)
+            .f64("slo_attainment", attainment(all_within, all_completed));
+        // Resilience columns ride the tick row only when a policy is
+        // active, so resilience-free runs keep the pre-resilience gauge
+        // schema byte-exactly. Values are cumulative in-window counts, like
+        // the offered/completed columns beside them.
+        if let Some(rs) = self.res.as_ref() {
+            tick = tick
+                .u64("timeouts", rs.timeouts.iter().sum())
+                .u64("retries", rs.retries.iter().sum())
+                .u64("shed", rs.shed.iter().sum())
+                .u64("hedges", rs.hedges.iter().sum())
+                .u64("hedge_wins", rs.hedge_wins.iter().sum());
+        }
+        sink.sample(tick);
+        let has_tenants = !self.tenants.is_empty();
+        for (i, spec) in self.specs.iter().enumerate() {
+            let mut row = Row::new()
+                .str("kind", "service")
+                .f64("t_ms", t_ms)
+                .u64("service", u64::from(spec.id))
+                .u64("offered", self.offered[i])
+                .u64("completed", self.completed[i])
+                .u64("within_slo", self.within_slo[i])
+                .f64(
+                    "slo_attainment",
+                    attainment(self.within_slo[i], self.completed[i]),
+                );
+            if has_tenants {
+                row = row.u64("tenant", u64::from(spec.tenant));
+            }
+            sink.sample(row);
+        }
+        for t in &self.tenants {
             let mut t_offered = 0u64;
             let mut t_rejected = 0u64;
             let mut t_completed = 0u64;
             let mut t_within = 0u64;
-            for (i, spec) in specs.iter().enumerate() {
+            for (i, spec) in self.specs.iter().enumerate() {
                 if spec.tenant == t.id {
-                    t_offered += offered[i];
-                    t_rejected += rejected[i];
-                    t_completed += completed[i];
-                    t_within += within_slo[i];
+                    t_offered += self.offered[i];
+                    t_rejected += self.rejected[i];
+                    t_completed += self.completed[i];
+                    t_within += self.within_slo[i];
                 }
             }
             sink.sample(
@@ -944,1048 +1879,181 @@ fn sample_serve_gauges<S: TraceSink>(
                     .f64("slo_attainment", attainment(t_within, t_completed)),
             );
         }
+        sink.advance_sampler();
     }
-    sink.advance_sampler();
-}
 
-/// The serving engine proper — every public surface ([`crate::Simulation`]
-/// and the deprecated `simulate*` shims) funnels through this one
-/// function, so there is exactly one event loop to optimize and one to
-/// property-test against the frozen reference. Generic over the trace
-/// sink: with [`parva_obs::NullSink`] every instrumentation branch is
-/// `if false` and monomorphizes away, leaving the pre-observability hot
-/// loop; a recording sink collects request/batch/recovery spans and
-/// per-tick gauges without perturbing a single simulation decision.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-pub(crate) fn run_simulation<S: TraceSink>(
-    deployment: &Deployment,
-    specs: &[ServiceSpec],
-    ingress: &[Vec<IngressClass>],
-    recovery: Option<&RecoverySpec>,
-    tenants: &[Tenant],
-    arrival_overrides: &[Option<ArrivalProcess>],
-    resilience: Option<&ResilienceSpec>,
-    config: &ServingConfig,
-    sink: &mut S,
-) -> ServingReport {
-    let classes: Vec<Vec<IngressClass>> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, s)| match ingress.get(i) {
-            Some(c) if !c.is_empty() => c.clone(),
-            _ => vec![IngressClass::local(s.request_rate_rps)],
-        })
-        .collect();
-    let mut servers = build_servers(deployment, specs);
-    // A class's network term is queueing budget already spent before the
-    // request reached the cluster: its batching deadline shrinks by the
-    // RTT, floored at zero (class 0 keeps the base timeout bit-exactly).
-    for s in &mut servers {
-        s.class_timeouts = classes[s.service]
+    /// Close a measurement window run to `win_end` and build its report.
+    ///
+    /// The event queue can drain before `win_end`, so the remaining gauge
+    /// boundaries are delivered from final state first. A recovery whose
+    /// begin lands in the drain tail `(win_end, sim_end]` never fired in
+    /// the loop, but its report was always fully determined at the begin
+    /// event — the timeline is booked analytically there, and no server
+    /// can already be dark (the one begin event is this one) — so it is
+    /// reproduced exactly as a drained loop would have computed it.
+    pub(crate) fn into_report<S: TraceSink>(
+        mut self,
+        duration_s: f64,
+        sim_end: SimTime,
+        sink: &mut S,
+    ) -> ServingReport {
+        if S::ENABLED {
+            while sink.next_sample_us() <= self.win_end.micros() {
+                let ts = sink.next_sample_us();
+                self.sample_gauges(sink, ts);
+            }
+        }
+        if self.recovery_began.is_none() {
+            if let Some(spec) = self.recovery.as_ref() {
+                let fire = SimTime::from_ms(spec.start_ms);
+                if fire > self.win_end && fire <= sim_end {
+                    let mut dark = 0usize;
+                    let mut darkened = vec![false; self.servers.len()];
+                    for op in &spec.ops {
+                        let Some(g) = op.logical_gpu else { continue };
+                        for (si, s) in self.servers.iter().enumerate() {
+                            if s.gpu == g && !darkened[si] {
+                                darkened[si] = true;
+                                dark += 1;
+                            }
+                        }
+                    }
+                    let timeline = recovery_timeline(spec, fire, sink);
+                    let mut last = fire + SimTime::from_ms(spec.control_plane_ms);
+                    for ready in &timeline {
+                        last = last.max(*ready);
+                    }
+                    self.recovery_began = Some((fire, dark, last));
+                }
+            }
+        }
+
+        let window_us = self.win_end.since(self.win_start).micros() as f64;
+        let server_reports = self
+            .servers
             .iter()
-            .map(|c| {
-                SimTime(
-                    s.batch_timeout
-                        .micros()
-                        .saturating_sub(SimTime::from_ms(c.network_ms).micros()),
-                )
+            .map(|s| ServerActivity {
+                service_id: self.specs[s.service].id,
+                sms: s.share.sms(),
+                activity: (s.busy_comp_us as f64 / window_us).clamp(0.0, 1.0),
             })
             .collect();
-    }
-    let weights = predicted_weights(deployment, specs);
-    let mut routers: Vec<Option<Router>> = weights
-        .iter()
-        .map(|w| {
-            if w.is_empty() {
-                None
-            } else {
-                Some(Router::new(w.iter().map(|(_, t)| *t).collect()))
-            }
-        })
-        .collect();
 
-    let win_start = SimTime::from_secs(config.warmup_s);
-    let win_end = SimTime::from_secs(config.warmup_s + config.duration_s);
-    let sim_end = SimTime::from_secs(config.warmup_s + config.duration_s + config.drain_s);
-    let win = (win_start, win_end);
-
-    // The resilience layer, strictly inert (None) without a policy: the
-    // engine then never materializes request identity and every code path
-    // below is the pre-resilience one, bit-exactly. An inert spec (all
-    // mechanisms disabled) is normalized to None for the same guarantee.
-    let mut res: Option<ResState> = resilience
-        .filter(|r| !r.is_inert())
-        .map(|r| ResState::new(*r, config.seed, specs.len()));
-    // Per-(service, class) effective attempt timeout: the class's network
-    // term is budget already spent, so remote classes time out sooner
-    // (floored at zero — an attempt can be dead on arrival).
-    let res_timeout: Vec<SimTime> = match res.as_ref() {
-        Some(rs) if rs.spec.timeout_ms > 0.0 => classes
-            .iter()
-            .flat_map(|cls| {
-                cls.iter().map(|c| {
-                    SimTime(
-                        SimTime::from_ms(rs.spec.timeout_ms)
-                            .micros()
-                            .saturating_sub(SimTime::from_ms(c.network_ms).micros()),
-                    )
-                })
-            })
-            .collect(),
-        _ => Vec::new(),
-    };
-    // Server index → (service, router slot), for health-checked routing.
-    let slot_of: Vec<Option<(usize, usize)>> = if res.is_some() {
-        let mut m = vec![None; servers.len()];
-        for (svc, w) in weights.iter().enumerate() {
-            for (k, &(sidx, _)) in w.iter().enumerate() {
-                m[sidx] = Some((svc, k));
-            }
-        }
-        m
-    } else {
-        Vec::new()
-    };
-    let health_checked = res.as_ref().is_some_and(|rs| rs.spec.health_checked);
-
-    if S::ENABLED {
-        // Stamp the measurement window into the trace: every report
-        // counter covers `[start_us, end_us)`, so offline analyzers
-        // (`parva_obs::analyze`, `parvactl trace audit`) can recompute
-        // the report's accounting from spans alone, without the config.
-        sink.emit(
-            TraceEvent::instant("window", "meta", 0)
-                .pid(PID_SERVE)
-                .arg_u64("start_us", win_start.micros())
-                .arg_u64("end_us", win_end.micros()),
-        );
-    }
-
-    let mut q = CalendarQueue::with_capacity(128);
-
-    // Flat per-(service, class) layout: entries of service `i` live at
-    // `cbase[i] .. cbase[i + 1]` in every class-indexed array below.
-    let mut cbase: Vec<usize> = Vec::with_capacity(specs.len() + 1);
-    let mut total_classes = 0usize;
-    for cls in &classes {
-        cbase.push(total_classes);
-        total_classes += cls.len();
-    }
-    cbase.push(total_classes);
-    // Services with exactly one ingress class take a fast accounting path:
-    // the class-level row provably equals the service-level row (same
-    // increment conditions, same record sequence), so the hot loop
-    // maintains only the service row and the report derives the class row.
-    let single: Vec<bool> = classes.iter().map(|c| c.len() == 1).collect();
-    let class_net: Vec<f64> = classes
-        .iter()
-        .flat_map(|c| c.iter().map(|cl| cl.network_ms))
-        .collect();
-    let class_rate: Vec<f64> = classes
-        .iter()
-        .flat_map(|c| c.iter().map(|cl| cl.rate_rps))
-        .collect();
-    // Per-service arrival process: the configured default, unless an
-    // override targets the service (the noisy-neighbor axis — one
-    // tenant's services can burst while the rest stay calm). With no
-    // overrides every entry equals `config.arrivals`, so all draw
-    // sequences are bit-identical to the pre-override engine.
-    let svc_proc: Vec<ArrivalProcess> = (0..specs.len())
-        .map(|i| {
-            arrival_overrides
-                .get(i)
-                .copied()
-                .flatten()
-                .unwrap_or(config.arrivals)
-        })
-        .collect();
-    // Memoryless arrivals need no phase state: the hot loop draws the gap
-    // straight from the class's stream (identical draw to `next_gap`).
-    let poisson = svc_proc
-        .iter()
-        .all(|p| matches!(p, ArrivalProcess::Poisson));
-
-    // Tenant machinery, strictly inert when no tenants are configured:
-    // per-service tenant binding, one admission token bucket per limited
-    // tenant (shared across the tenant's services — the quota is a
-    // tenant-wide contract), and per-service rejection counters.
-    let has_tenants = !tenants.is_empty();
-    let svc_tenant_idx: Vec<Option<usize>> = specs
-        .iter()
-        .map(|s| {
-            if s.tenant == 0 {
-                None
-            } else {
-                tenants.iter().position(|t| t.id == s.tenant)
-            }
-        })
-        .collect();
-    let mut quota: Vec<Option<TokenBucket>> = tenants
-        .iter()
-        .map(|t| t.is_limited().then(|| TokenBucket::new(t.quota_rps)))
-        .collect();
-    let mut rejected = vec![0u64; specs.len()];
-
-    // One arrival stream per (service, class); class 0 reuses the exact
-    // pre-ingress stream derivation for backwards-identical sample paths.
-    let mut arrival_rng: Vec<RngStream> = specs
-        .iter()
-        .zip(&classes)
-        .flat_map(|(s, cls)| {
-            (0..cls.len()).map(|c| RngStream::new(class_seed(config.seed, c), u64::from(s.id)))
-        })
-        .collect();
-
-    // MMPP phase state per service (ignored by the other processes). Phase
-    // streams are separate RNG streams so flipping the arrival process does
-    // not perturb the arrival sample path structure.
-    let mut bursting: Vec<bool> = vec![false; specs.len()];
-    let mut phase_until: Vec<SimTime> = vec![SimTime::ZERO; specs.len()];
-    let mut phase_rng: Vec<RngStream> = specs
-        .iter()
-        .map(|s| RngStream::new(config.seed ^ 0x9E37_79B9, u64::from(s.id)))
-        .collect();
-
-    // Draw the next interarrival gap for class `c` of service `i` as of
-    // time `now`. The MMPP phase state is shared across a service's classes
-    // (one demand process, several ingress paths).
-    let next_gap = |i: usize,
-                    c: usize,
-                    now: SimTime,
-                    rng: &mut Vec<RngStream>,
-                    bursting: &mut Vec<bool>,
-                    phase_until: &mut Vec<SimTime>,
-                    phase_rng: &mut Vec<RngStream>|
-     -> SimTime {
-        let rate = classes[i][c].rate_rps;
-        match svc_proc[i] {
-            ArrivalProcess::Poisson => rng[cbase[i] + c].exp_interarrival(rate),
-            ArrivalProcess::Deterministic => SimTime::from_secs(1.0 / rate),
-            ArrivalProcess::Mmpp { mean_phase_s, .. } => {
-                while now >= phase_until[i] {
-                    bursting[i] = !bursting[i];
-                    phase_until[i] += phase_rng[i].exp_interarrival(1.0 / mean_phase_s.max(1e-6));
-                }
-                let phase_rate = svc_proc[i].phase_rate(rate, bursting[i]);
-                rng[cbase[i] + c].exp_interarrival(phase_rate)
-            }
-        }
-    };
-
-    // Per-service accounting, plus flat per-(service, class) accounting
-    // (class rows of single-class services are derived at report time).
-    let mut offered = vec![0u64; specs.len()];
-    let mut completed = vec![0u64; specs.len()];
-    let mut batches = vec![0u64; specs.len()];
-    let mut violated = vec![0u64; specs.len()];
-    let mut within_slo = vec![0u64; specs.len()];
-    let mut latency: Vec<LatencyHistogram> =
-        (0..specs.len()).map(|_| LatencyHistogram::new()).collect();
-    let mut class_offered = vec![0u64; total_classes];
-    let mut class_completed = vec![0u64; total_classes];
-    let mut class_within = vec![0u64; total_classes];
-    let mut class_latency: Vec<LatencyHistogram> = (0..total_classes)
-        .map(|_| LatencyHistogram::new())
-        .collect();
-
-    // Seed first arrivals (zero-rate classes never generate traffic).
-    // `next_gap` holds a shared borrow of `classes`, which coexists with
-    // this shared iteration.
-    for (i, cls) in classes.iter().enumerate() {
-        for (c, class) in cls.iter().enumerate() {
-            if class.rate_rps <= 0.0 {
-                continue;
-            }
-            let t = next_gap(
-                i,
-                c,
-                SimTime::ZERO,
-                &mut arrival_rng,
-                &mut bursting,
-                &mut phase_until,
-                &mut phase_rng,
-            );
-            q.schedule(t, ev(TAG_ARRIVAL, i as u64, c as u64));
-        }
-    }
-
-    // Recovery riding the same queue: the capacity loss fires at
-    // `start_ms`; the op timeline (per-node serialized re-flashes, FIFO
-    // PCIe copies) is booked when it fires. `None`/empty specs schedule
-    // nothing, keeping the plain path bit-identical.
-    let rec_spec = recovery.filter(|r| !r.is_empty());
-    let mut rec_report: Option<RecoverySimReport> = None;
-    if let Some(spec) = rec_spec {
-        q.schedule(
-            SimTime::from_ms(spec.start_ms),
-            ev(TAG_RECOVERY_BEGIN, 0, 0),
-        );
-    }
-
-    // The recycled batch slab: `slab[id]` is a batch's request list,
-    // `slab_comp[id]` its SM-occupancy, `free` the ids open for reuse —
-    // steady-state launches allocate nothing.
-    let mut slab: Vec<Vec<(SimTime, u32)>> = Vec::new();
-    let mut slab_comp: Vec<u64> = Vec::new();
-    let mut free: Vec<u32> = Vec::new();
-
-    // The event loop stops at the window's end, not at `sim_end`: every
-    // report field is accumulated strictly inside `[win_start, win_end)`
-    // (post-window completions are discarded by the `in_window` gates), so
-    // events in the drain tail cannot influence the report — with one
-    // exception, a recovery spec whose start lands after the window, which
-    // the post-loop fixup below reproduces exactly as the drained loop
-    // would have (the recovery report is fully determined at its begin
-    // event). Skipping the tail is therefore bit-identical and saves the
-    // whole drain period's event processing.
-    // When tracing, remember when each server went dark so the `dark`
-    // span can be closed at its GPU's recovery instant.
-    let mut dark_since: Vec<SimTime> = if S::ENABLED {
-        vec![SimTime::ZERO; servers.len()]
-    } else {
-        Vec::new()
-    };
-
-    let loop_started = std::time::Instant::now();
-    let cpu_started = parva_des::counters::thread_cpu_nanos();
-    while let Some((t, payload)) = q.pop() {
-        if S::ENABLED {
-            // Deliver any gauge boundaries the simulation clock just
-            // crossed (state as of strictly before `t`), capped at the
-            // window's end; the post-loop flush covers a queue that
-            // drains before `win_end`.
-            while sink.next_sample_us() < t.micros() && sink.next_sample_us() <= win_end.micros() {
-                sample_serve_gauges(
-                    sink,
-                    sink.next_sample_us(),
-                    &servers,
-                    specs,
-                    tenants,
-                    &offered,
-                    &completed,
-                    &within_slo,
-                    &rejected,
-                    res.as_ref(),
-                );
-            }
-        }
-        if t > win_end {
-            break;
-        }
-        let a = ((payload >> A_SHIFT) & A_MASK) as usize;
-        let b = (payload & B_MASK) as usize;
-        match payload >> TAG_SHIFT {
-            TAG_ARRIVAL => {
-                let (service, class) = (a, b);
-                // Schedule the next arrival while load generation is on.
-                let flat = cbase[service] + class;
-                let next = if poisson {
-                    t + arrival_rng[flat].exp_interarrival(class_rate[flat])
-                } else {
-                    t + next_gap(
-                        service,
-                        class,
-                        t,
-                        &mut arrival_rng,
-                        &mut bursting,
-                        &mut phase_until,
-                        &mut phase_rng,
-                    )
-                };
-                if next < win_end {
-                    q.schedule(next, payload);
-                }
-                if t >= win_start && t < win_end {
-                    offered[service] += 1;
-                    if !single[service] {
-                        class_offered[flat] += 1;
-                    }
-                }
-                // Per-tenant admission quota: an over-quota request is
-                // rejected and reported, never silently queued — it still
-                // counts as offered, lands in the rejection counters, and
-                // leaves a traced arrival so `trace audit` can recount
-                // per-tenant attainment exactly.
-                if has_tenants {
-                    if let Some(ti) = svc_tenant_idx[service] {
-                        if let Some(bucket) = quota[ti].as_mut() {
-                            if !bucket.admit(t) {
-                                if t >= win_start && t < win_end {
-                                    rejected[service] += 1;
-                                }
-                                if S::ENABLED {
-                                    sink.emit(
-                                        TraceEvent::instant("arrival", "request", t.micros())
-                                            .pid(PID_SERVE)
-                                            .tid(0)
-                                            .arg_u64("service", u64::from(specs[service].id))
-                                            .arg_u64("class", class as u64)
-                                            .arg_u64("tenant", u64::from(specs[service].tenant))
-                                            .arg_bool("rejected", true),
-                                    );
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                }
-                if let Some(router) = routers[service].as_mut() {
-                    let k = router.route();
-                    let (sidx, _) = weights[service][k];
-                    if S::ENABLED {
-                        let mut arrival = TraceEvent::instant("arrival", "request", t.micros())
-                            .pid(PID_SERVE)
-                            .tid(sidx as u32)
-                            .arg_u64("service", u64::from(specs[service].id))
-                            .arg_u64("class", class as u64);
-                        if has_tenants {
-                            arrival = arrival.arg_u64("tenant", u64::from(specs[service].tenant));
-                        }
-                        sink.emit(arrival);
-                    }
-                    // Queue-depth load shedding: an arrival routed to a
-                    // server already holding `shed_queue_depth` requests
-                    // is dropped (counted as offered, never served) —
-                    // bounded queues instead of unbounded latency.
-                    if let Some(rs) = res.as_mut() {
-                        let depth = rs.spec.shed_queue_depth as usize;
-                        if depth > 0 && servers[sidx].queue.len() >= depth {
-                            if t >= win_start && t < win_end {
-                                rs.shed[service] += 1;
-                            }
-                            if S::ENABLED {
-                                sink.emit(
-                                    TraceEvent::instant("shed", "resilience", t.micros())
-                                        .pid(PID_SERVE)
-                                        .tid(sidx as u32)
-                                        .arg_u64("service", u64::from(specs[service].id)),
-                                );
-                            }
-                            continue;
-                        }
-                    }
-                    let entry = match res.as_mut() {
-                        Some(rs) => {
-                            let rid = rs.alloc(service as u32, class as u32, t, sidx as u32);
-                            let epoch = u64::from(rs.reqs[rid as usize].epoch) & B_MASK;
-                            if rs.spec.timeout_ms > 0.0 {
-                                let fire = t + res_timeout[flat];
-                                // Events past the window can never be
-                                // observed (the loop breaks there) — skip
-                                // booking them at all.
-                                if fire <= win_end {
-                                    q.schedule(fire, ev(TAG_TIMEOUT, u64::from(rid), epoch));
-                                }
-                            }
-                            if rs.spec.hedge_quantile > 0.0 {
-                                let fire = t + hedge_delay(
-                                    &latency[service],
-                                    &specs[service],
-                                    rs.spec.hedge_quantile,
-                                );
-                                if fire <= win_end {
-                                    q.schedule(fire, ev(TAG_HEDGE, u64::from(rid), epoch));
-                                }
-                            }
-                            (t, rid)
-                        }
-                        None => (t, class as u32),
-                    };
-                    servers[sidx].queue.push_back(entry);
-                    try_start(
-                        &mut q,
-                        &mut servers,
-                        &mut slab,
-                        &mut slab_comp,
-                        &mut free,
-                        sidx,
-                        &mut res,
-                        specs,
-                        win,
-                        sink,
-                    );
-                }
-            }
-            TAG_DONE => {
-                let (batch_id, server) = (a, b);
-                servers[server].busy -= 1;
-                let service = servers[server].service;
-                let in_window = t >= win_start && t < win_end;
-                if S::ENABLED {
-                    // One request-lifecycle span per member: arrival →
-                    // completion, tagged ok/miss against the SLO
-                    // (network RTT included, exactly as accounted). With
-                    // a resilience policy the span runs from the request's
-                    // *first* arrival — retried attempts pay for the time
-                    // their failed predecessors burned.
-                    let slo_ms = specs[service].slo.latency_ms;
-                    let base = cbase[service];
-                    for &(enq, x) in &slab[batch_id] {
-                        let (arrived, class) = match res.as_ref() {
-                            Some(rs) => {
-                                let r = &rs.reqs[x as usize];
-                                (r.first_arrival, r.class)
-                            }
-                            None => (enq, x),
-                        };
-                        let lat_ms = t.since(arrived).as_ms() + class_net[base + class as usize];
-                        let mut span = TraceEvent::span(
-                            "request",
-                            "request",
-                            arrived.micros(),
-                            spec_dur(arrived, t),
-                        )
-                        .pid(PID_SERVE)
-                        .tid(server as u32)
-                        .arg_u64("service", u64::from(specs[service].id))
-                        .arg_u64("class", u64::from(class))
-                        .arg_f64("latency_ms", lat_ms)
-                        .arg_bool("ok", lat_ms <= slo_ms);
-                        if has_tenants {
-                            span = span.arg_u64("tenant", u64::from(specs[service].tenant));
-                        }
-                        sink.emit(span);
-                    }
-                }
-                if in_window {
-                    servers[server].busy_comp_us += slab_comp[batch_id];
-                    batches[service] += 1;
-                    let slo_ms = specs[service].slo.latency_ms;
-                    let base = cbase[service];
-                    let single_class = single[service];
-                    let hist = &mut latency[service];
-                    let mut done_n = 0u64;
-                    let mut ok_n = 0u64;
-                    let mut worst = 0.0f64;
-                    for &(enq, x) in &slab[batch_id] {
-                        let (arrived, class) = match res.as_ref() {
-                            Some(rs) => {
-                                let r = &rs.reqs[x as usize];
-                                (r.first_arrival, r.class)
-                            }
-                            None => (enq, x),
-                        };
-                        let c = class as usize;
-                        // The RTT term: network latency already spent by
-                        // this ingress class counts against the SLO.
-                        let lat_ms = t.since(arrived).as_ms() + class_net[base + c];
-                        hist.record_ms(lat_ms);
-                        worst = worst.max(lat_ms);
-                        done_n += 1;
-                        let ok = lat_ms <= slo_ms;
-                        ok_n += u64::from(ok);
-                        if !single_class {
-                            class_latency[base + c].record_ms(lat_ms);
-                            class_completed[base + c] += 1;
-                            if ok {
-                                class_within[base + c] += 1;
-                            }
-                        }
-                    }
-                    completed[service] += done_n;
-                    within_slo[service] += ok_n;
-                    if worst > slo_ms {
-                        violated[service] += 1;
-                    }
-                }
-                if let Some(rs) = res.as_mut() {
-                    // Completed requests retire: epoch bump stales any
-                    // straggler timeout/hedge events, the id recycles.
-                    for &(_, rid) in &slab[batch_id] {
-                        rs.free_req(rid);
-                    }
-                }
-                free.push(batch_id as u32);
-                try_start(
-                    &mut q,
-                    &mut servers,
-                    &mut slab,
-                    &mut slab_comp,
-                    &mut free,
-                    server,
-                    &mut res,
-                    specs,
-                    win,
-                    sink,
-                );
-            }
-            TAG_DEADLINE => {
-                // Stale deadlines (batch already launched) fall through
-                // harmlessly: try_start re-evaluates the queue state.
-                try_start(
-                    &mut q,
-                    &mut servers,
-                    &mut slab,
-                    &mut slab_comp,
-                    &mut free,
-                    b,
-                    &mut res,
-                    specs,
-                    win,
-                    sink,
-                );
-            }
-            TAG_RECOVERY_BEGIN => {
-                let spec = rec_spec.expect("recovery event without a spec");
-                let mut dark = 0usize;
-                for op in &spec.ops {
-                    let Some(g) = op.logical_gpu else { continue };
-                    for (si, s) in servers.iter_mut().enumerate() {
-                        if s.gpu == g && !s.dark {
-                            s.dark = true;
-                            dark += 1;
-                            if S::ENABLED {
-                                dark_since[si] = t;
-                            }
-                            // Health-checked routing: a dark server is
-                            // drained — new arrivals go to its healthy
-                            // siblings instead of queueing on a corpse.
-                            if health_checked {
-                                if let Some((svc, slot)) = slot_of[si] {
-                                    if let Some(r) = routers[svc].as_mut() {
-                                        r.set_healthy(slot, false);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                if S::ENABLED {
-                    sink.emit(
-                        TraceEvent::instant("recovery-begin", "recovery", t.micros())
-                            .pid(PID_SERVE)
-                            .arg_u64("dark_servers", dark as u64)
-                            .arg_u64("ops", spec.ops.len() as u64),
-                    );
-                }
-                let timeline = recovery_timeline(spec, t, sink);
-                let mut last = t + SimTime::from_ms(spec.control_plane_ms);
-                for (i, ready) in timeline.iter().enumerate() {
-                    q.schedule(*ready, ev(TAG_GPU_RECOVERED, i as u64, 0));
-                    last = last.max(*ready);
-                }
-                rec_report = Some(RecoverySimReport {
-                    started_ms: t.as_ms(),
-                    latency_ms: last.since(t).as_ms(),
-                    dark_servers: dark,
-                    reflashes_done: spec.ops.iter().filter(|o| o.reflash && !o.prepared).count(),
-                    copied_gib: spec.pending_copy_gib(),
-                    precopied_gib: spec.prepared_gib(),
-                });
-            }
-            TAG_GPU_RECOVERED => {
-                // Op `a` finished; light its GPU up.
-                let spec = rec_spec.expect("recovery event without a spec");
-                let Some(g) = spec.ops[a].logical_gpu else {
-                    continue;
-                };
-                for si in 0..servers.len() {
-                    if servers[si].gpu == g && servers[si].dark {
-                        servers[si].dark = false;
-                        if S::ENABLED {
-                            // Close the server's dark window: capacity
-                            // was offline from recovery-begin to now.
-                            sink.emit(
-                                TraceEvent::span(
-                                    "dark",
-                                    "recovery",
-                                    dark_since[si].micros(),
-                                    spec_dur(dark_since[si], t),
-                                )
-                                .pid(PID_SERVE)
-                                .tid(si as u32)
-                                .arg_u64("gpu", g as u64),
-                            );
-                            sink.emit(
-                                TraceEvent::instant("live", "recovery", t.micros())
-                                    .pid(PID_SERVE)
-                                    .tid(si as u32)
-                                    .arg_u64("gpu", g as u64),
-                            );
-                        }
-                        // Re-admit to health-checked routing: credit
-                        // accumulated while drained, so the recovered
-                        // server catches up on its fair share.
-                        if health_checked {
-                            if let Some((svc, slot)) = slot_of[si] {
-                                if let Some(r) = routers[svc].as_mut() {
-                                    r.set_healthy(slot, true);
-                                }
-                            }
-                        }
-                        try_start(
-                            &mut q,
-                            &mut servers,
-                            &mut slab,
-                            &mut slab_comp,
-                            &mut free,
-                            si,
-                            &mut res,
-                            specs,
-                            win,
-                            sink,
-                        );
-                    }
-                }
-            }
-            TAG_TIMEOUT => {
-                // Attempt timeout: pull the request (and its hedge twin)
-                // out of the queues, then retry if the attempt cap and the
-                // cluster-wide retry budget both allow — else give up.
-                let rs = res.as_mut().expect("resilience event without state");
-                if !rs.epoch_current(a, b) {
-                    continue; // already launched / completed / retired
-                }
-                let rid = a as u32;
-                let (service, primary, hedge) = {
-                    let r = &rs.reqs[a];
-                    (r.service as usize, r.server as usize, r.hedge_server)
-                };
-                remove_rid(&mut servers[primary].queue, rid);
-                if hedge >= 0 {
-                    remove_rid(&mut servers[hedge as usize].queue, rid);
-                }
-                if t >= win_start && t < win_end {
-                    rs.timeouts[service] += 1;
-                }
-                if S::ENABLED {
-                    sink.emit(
-                        TraceEvent::instant("timeout", "resilience", t.micros())
-                            .pid(PID_SERVE)
-                            .tid(primary as u32)
-                            .arg_u64("service", u64::from(specs[service].id)),
-                    );
-                }
-                let attempts = {
-                    let r = &mut rs.reqs[a];
-                    r.epoch = r.epoch.wrapping_add(1);
-                    r.hedge_server = -1;
-                    r.attempts
-                };
-                let can_retry = attempts < rs.spec.max_retries;
-                // The budget is only consulted for retries that would
-                // actually happen — a drained bucket is what breaks the
-                // metastable feedback loop under overload.
-                let admitted = can_retry && rs.budget.as_mut().is_none_or(|bk| bk.admit(t));
-                if admitted {
-                    let mut delay_ms =
-                        rs.spec.backoff_base_ms * rs.spec.backoff_multiplier.powi(attempts as i32);
-                    if rs.spec.jitter > 0.0 {
-                        // Draw only when configured: zero-jitter runs
-                        // share the no-resilience RNG state bit-exactly.
-                        delay_ms *= 1.0 + rs.spec.jitter * rs.rng.uniform();
-                    }
-                    let fire = t + SimTime::from_ms(delay_ms);
-                    if fire <= win_end {
-                        let epoch = u64::from(rs.reqs[a].epoch) & B_MASK;
-                        q.schedule(fire, ev(TAG_RETRY, u64::from(rid), epoch));
-                    } else {
-                        rs.free_req(rid);
-                    }
-                } else {
-                    rs.free_req(rid);
-                }
-            }
-            TAG_RETRY => {
-                // Backoff expired: re-route the request as a fresh attempt
-                // (sheddable like any arrival — a shed retry is a shed,
-                // not a retry).
-                let Some(rs) = res.as_mut() else { continue };
-                if !rs.epoch_current(a, b) {
-                    continue;
-                }
-                let rid = a as u32;
-                let service = rs.reqs[a].service as usize;
-                let Some(router) = routers[service].as_mut() else {
-                    rs.free_req(rid);
-                    continue;
-                };
-                let k = router.route();
-                let (sidx, _) = weights[service][k];
-                let depth = rs.spec.shed_queue_depth as usize;
-                if depth > 0 && servers[sidx].queue.len() >= depth {
-                    if t >= win_start && t < win_end {
-                        rs.shed[service] += 1;
-                    }
-                    if S::ENABLED {
-                        sink.emit(
-                            TraceEvent::instant("shed", "resilience", t.micros())
-                                .pid(PID_SERVE)
-                                .tid(sidx as u32)
-                                .arg_u64("service", u64::from(specs[service].id)),
-                        );
-                    }
-                    rs.free_req(rid);
-                    continue;
-                }
-                {
-                    let r = &mut rs.reqs[a];
-                    r.attempts += 1;
-                    r.server = sidx as u32;
-                }
-                if t >= win_start && t < win_end {
-                    rs.retries[service] += 1;
-                }
-                if S::ENABLED {
-                    sink.emit(
-                        TraceEvent::instant("retry", "resilience", t.micros())
-                            .pid(PID_SERVE)
-                            .tid(sidx as u32)
-                            .arg_u64("service", u64::from(specs[service].id)),
-                    );
-                }
-                // Re-arm the attempt's timeout and hedge against the
-                // epoch set at the timeout that spawned this retry.
-                let epoch = u64::from(rs.reqs[a].epoch) & B_MASK;
-                if rs.spec.timeout_ms > 0.0 {
-                    let class = rs.reqs[a].class as usize;
-                    let fire = t + res_timeout[cbase[service] + class];
-                    if fire <= win_end {
-                        q.schedule(fire, ev(TAG_TIMEOUT, u64::from(rid), epoch));
-                    }
-                }
-                if rs.spec.hedge_quantile > 0.0 {
-                    let fire =
-                        t + hedge_delay(&latency[service], &specs[service], rs.spec.hedge_quantile);
-                    if fire <= win_end {
-                        q.schedule(fire, ev(TAG_HEDGE, u64::from(rid), epoch));
-                    }
-                }
-                servers[sidx].queue.push_back((t, rid));
-                try_start(
-                    &mut q,
-                    &mut servers,
-                    &mut slab,
-                    &mut slab_comp,
-                    &mut free,
-                    sidx,
-                    &mut res,
-                    specs,
-                    win,
-                    sink,
-                );
-            }
-            TAG_HEDGE => {
-                // Hedge-fire: the attempt outlived the service's
-                // p-quantile latency; enqueue a second copy on another
-                // server. First copy to launch wins; `launch` cancels the
-                // twin. Epoch discipline guarantees at most one pending
-                // hedge per attempt.
-                let Some(rs) = res.as_mut() else { continue };
-                if !rs.epoch_current(a, b) {
-                    continue;
-                }
-                let rid = a as u32;
-                let (service, primary) = {
-                    let r = &rs.reqs[a];
-                    (r.service as usize, r.server as usize)
-                };
-                let Some(router) = routers[service].as_mut() else {
-                    continue;
-                };
-                let k = router.route();
-                let (sidx, _) = weights[service][k];
-                if sidx == primary {
-                    // No alternative server drawn — nothing to hedge to.
-                    continue;
-                }
-                let depth = rs.spec.shed_queue_depth as usize;
-                if depth > 0 && servers[sidx].queue.len() >= depth {
-                    continue; // hedges are best-effort: full queue, no copy
-                }
-                rs.reqs[a].hedge_server = sidx as i64;
-                if t >= win_start && t < win_end {
-                    rs.hedges[service] += 1;
-                }
-                if S::ENABLED {
-                    sink.emit(
-                        TraceEvent::instant("hedge", "resilience", t.micros())
-                            .pid(PID_SERVE)
-                            .tid(sidx as u32)
-                            .arg_u64("service", u64::from(specs[service].id)),
-                    );
-                }
-                servers[sidx].queue.push_back((t, rid));
-                try_start(
-                    &mut q,
-                    &mut servers,
-                    &mut slab,
-                    &mut slab_comp,
-                    &mut free,
-                    sidx,
-                    &mut res,
-                    specs,
-                    win,
-                    sink,
-                );
-            }
-            _ => unreachable!("unknown event tag"),
-        }
-    }
-    parva_des::counters::record_sim(
-        q.processed(),
-        q.peak_pending(),
-        loop_started.elapsed().as_nanos() as u64,
-        parva_des::counters::thread_cpu_nanos().saturating_sub(cpu_started),
-    );
-
-    if S::ENABLED {
-        // The event queue can drain before `win_end`; deliver the
-        // remaining gauge boundaries from final state so the series
-        // always spans the full measurement window.
-        while sink.next_sample_us() <= win_end.micros() {
-            sample_serve_gauges(
-                sink,
-                sink.next_sample_us(),
-                &servers,
-                specs,
-                tenants,
-                &offered,
-                &completed,
-                &within_slo,
-                &rejected,
-                res.as_ref(),
-            );
-        }
-    }
-
-    // Post-window recovery fixup: a recovery that begins inside the drain
-    // tail `(win_end, sim_end]` no longer fires in the loop, but its
-    // report was always fully determined at the begin event — the timeline
-    // is booked analytically there, and no server can already be dark (the
-    // one begin event is this one). Reproduce exactly what the drained
-    // loop computed.
-    if rec_report.is_none() {
-        if let Some(spec) = rec_spec {
-            let fire = SimTime::from_ms(spec.start_ms);
-            if fire > win_end && fire <= sim_end {
-                let mut dark = 0usize;
-                let mut darkened = vec![false; servers.len()];
-                for op in &spec.ops {
-                    let Some(g) = op.logical_gpu else { continue };
-                    for (si, s) in servers.iter().enumerate() {
-                        if s.gpu == g && !darkened[si] {
-                            darkened[si] = true;
-                            dark += 1;
-                        }
-                    }
-                }
-                let timeline = recovery_timeline(spec, fire, sink);
-                let mut last = fire + SimTime::from_ms(spec.control_plane_ms);
-                for ready in &timeline {
-                    last = last.max(*ready);
-                }
-                rec_report = Some(RecoverySimReport {
-                    started_ms: fire.as_ms(),
-                    latency_ms: last.since(fire).as_ms(),
-                    dark_servers: dark,
-                    reflashes_done: spec.ops.iter().filter(|o| o.reflash && !o.prepared).count(),
-                    copied_gib: spec.pending_copy_gib(),
-                    precopied_gib: spec.prepared_gib(),
-                });
-            }
-        }
-    }
-
-    let window_us = win_end.since(win_start).micros() as f64;
-    let server_reports = servers
-        .iter()
-        .map(|s| ServerActivity {
-            service_id: specs[s.service].id,
-            sms: s.share.sms(),
-            activity: (s.busy_comp_us as f64 / window_us).clamp(0.0, 1.0),
-        })
-        .collect();
-
-    // Class rows first: single-class rows copy the service-level data
-    // before the service rows take ownership of the histograms below;
-    // multi-class rows move their own histograms out of the flat array.
-    let mut class_reports = Vec::with_capacity(total_classes);
-    for (i, spec) in specs.iter().enumerate() {
-        if single[i] {
-            class_reports.push(ClassReport {
-                service_id: spec.id,
-                class: 0,
-                network_ms: classes[i][0].network_ms,
-                offered: offered[i],
-                completed: completed[i],
-                completed_within_slo: within_slo[i],
-                latency: latency[i].clone(),
-            });
-        } else {
-            for (c, cls) in classes[i].iter().enumerate() {
+        // Class rows first: single-class rows copy the service-level data
+        // before the service rows take ownership of the histograms below;
+        // multi-class rows move their own histograms out of the flat array.
+        let mut class_reports = Vec::with_capacity(self.class_net.len());
+        for (i, spec) in self.specs.iter().enumerate() {
+            let base = self.cbase[i];
+            if self.single[i] {
                 class_reports.push(ClassReport {
                     service_id: spec.id,
-                    class: c,
-                    network_ms: cls.network_ms,
-                    offered: class_offered[cbase[i] + c],
-                    completed: class_completed[cbase[i] + c],
-                    completed_within_slo: class_within[cbase[i] + c],
-                    latency: std::mem::take(&mut class_latency[cbase[i] + c]),
+                    class: 0,
+                    network_ms: self.class_net[base],
+                    offered: self.offered[i],
+                    completed: self.completed[i],
+                    completed_within_slo: self.within_slo[i],
+                    latency: self.latency[i].clone(),
                 });
-            }
-        }
-    }
-
-    // Tenant rollups before the service rows take ownership of the
-    // histograms: each tenant's row sums its services' counters and merges
-    // their latency distributions. Empty when no tenants are configured,
-    // which the report serializer omits entirely.
-    let tenant_reports: Vec<TenantReport> = tenants
-        .iter()
-        .map(|t| {
-            let mut t_offered = 0u64;
-            let mut t_rejected = 0u64;
-            let mut t_completed = 0u64;
-            let mut t_within = 0u64;
-            let mut hist = LatencyHistogram::new();
-            for (i, spec) in specs.iter().enumerate() {
-                if spec.tenant == t.id {
-                    t_offered += offered[i];
-                    t_rejected += rejected[i];
-                    t_completed += completed[i];
-                    t_within += within_slo[i];
-                    hist.merge(&latency[i]);
+            } else {
+                for f in base..self.cbase[i + 1] {
+                    class_reports.push(ClassReport {
+                        service_id: spec.id,
+                        class: f - base,
+                        network_ms: self.class_net[f],
+                        offered: self.class_offered[f],
+                        completed: self.class_completed[f],
+                        completed_within_slo: self.class_within[f],
+                        latency: std::mem::take(&mut self.class_latency[f]),
+                    });
                 }
             }
-            TenantReport {
-                tenant: t.id,
-                name: t.name.clone(),
-                offered: t_offered,
-                admitted: t_offered - t_rejected,
-                rejected: t_rejected,
-                completed: t_completed,
-                completed_within_slo: t_within,
-                latency: hist,
-            }
-        })
-        .collect();
+        }
 
-    ServingReport {
-        duration_s: config.duration_s,
-        services: specs
+        // Tenant rollups before the service rows take ownership of the
+        // histograms: each tenant's row sums its services' counters and
+        // merges their latency distributions. Empty when no tenants are
+        // configured, which the report serializer omits entirely.
+        let tenant_reports: Vec<TenantReport> = self
+            .tenants
             .iter()
-            .enumerate()
-            .map(|(i, spec)| ServiceReport {
-                service_id: spec.id,
-                offered: offered[i],
-                completed: completed[i],
-                batches: batches[i],
-                violated_batches: violated[i],
-                completed_within_slo: within_slo[i],
-                latency: std::mem::take(&mut latency[i]),
-                rejected: rejected[i],
-                timeouts: res.as_ref().map_or(0, |r| r.timeouts[i]),
-                retries: res.as_ref().map_or(0, |r| r.retries[i]),
-                shed: res.as_ref().map_or(0, |r| r.shed[i]),
-                hedges: res.as_ref().map_or(0, |r| r.hedges[i]),
-                hedge_wins: res.as_ref().map_or(0, |r| r.hedge_wins[i]),
+            .map(|t| {
+                let mut t_offered = 0u64;
+                let mut t_rejected = 0u64;
+                let mut t_completed = 0u64;
+                let mut t_within = 0u64;
+                let mut hist = LatencyHistogram::new();
+                for (i, spec) in self.specs.iter().enumerate() {
+                    if spec.tenant == t.id {
+                        t_offered += self.offered[i];
+                        t_rejected += self.rejected[i];
+                        t_completed += self.completed[i];
+                        t_within += self.within_slo[i];
+                        hist.merge(&self.latency[i]);
+                    }
+                }
+                TenantReport {
+                    tenant: t.id,
+                    name: t.name.clone(),
+                    offered: t_offered,
+                    admitted: t_offered - t_rejected,
+                    rejected: t_rejected,
+                    completed: t_completed,
+                    completed_within_slo: t_within,
+                    latency: hist,
+                }
             })
-            .collect(),
-        servers: server_reports,
-        classes: class_reports,
-        recovery: rec_report,
-        tenants: tenant_reports,
+            .collect();
+
+        let recovery = self.recovery_began.map(|(start, dark, last)| {
+            let spec = self.recovery.as_ref().expect("a begun recovery has a spec");
+            RecoverySimReport {
+                started_ms: start.as_ms(),
+                latency_ms: last.since(start).as_ms(),
+                dark_servers: dark,
+                reflashes_done: spec.ops.iter().filter(|o| o.reflash && !o.prepared).count(),
+                copied_gib: spec.pending_copy_gib(),
+                precopied_gib: spec.prepared_gib(),
+            }
+        });
+        let res = self.res.as_ref();
+        ServingReport {
+            duration_s,
+            services: self
+                .specs
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| ServiceReport {
+                    service_id: spec.id,
+                    offered: self.offered[i],
+                    completed: self.completed[i],
+                    batches: self.batches[i],
+                    violated_batches: self.violated[i],
+                    completed_within_slo: self.within_slo[i],
+                    latency: std::mem::take(&mut self.latency[i]),
+                    rejected: self.rejected[i],
+                    timeouts: res.map_or(0, |r| r.timeouts[i]),
+                    retries: res.map_or(0, |r| r.retries[i]),
+                    shed: res.map_or(0, |r| r.shed[i]),
+                    hedges: res.map_or(0, |r| r.hedges[i]),
+                    hedge_wins: res.map_or(0, |r| r.hedge_wins[i]),
+                })
+                .collect(),
+            servers: server_reports,
+            classes: class_reports,
+            recovery,
+            tenants: tenant_reports,
+        }
+    }
+}
+
+/// Index into `tenants` of the tenant `spec` is bound to (`None` for the
+/// default tenant 0 or an unknown one).
+fn tenant_index(tenants: &[Tenant], spec: &ServiceSpec) -> Option<usize> {
+    if spec.tenant == 0 {
+        None
+    } else {
+        tenants.iter().position(|t| t.id == spec.tenant)
     }
 }
 
@@ -1993,9 +2061,7 @@ pub(crate) fn run_simulation<S: TraceSink>(
 mod tests {
     use super::*;
 
-    /// Test-local shorthand for the builder chain (the deprecated shims
-    /// have their own equivalence proptests; behavioral tests run through
-    /// the one real entry point).
+    /// Test-local shorthand for the builder chain.
     fn sim(
         d: &Deployment,
         specs: &[ServiceSpec],
@@ -2911,8 +2977,7 @@ mod tests {
                         .collect(),
                 });
                 // The builder is the real entry point under test; the
-                // frozen reference and the deprecated shim must both
-                // match it byte for byte.
+                // frozen reference must match it byte for byte.
                 let fast = crate::Simulation::new(&d, &specs)
                     .ingress(&ingress)
                     .recovery_opt(recovery.as_ref())
@@ -2925,17 +2990,10 @@ mod tests {
                     recovery.as_ref(),
                     &config,
                 );
-                #[allow(deprecated)]
-                let shim =
-                    super::simulate_with_recovery(&d, &specs, &ingress, recovery.as_ref(), &config);
                 let fast_json = serde_json::to_string(&fast).expect("serializable");
                 prop_assert_eq!(
                     &fast_json,
                     &serde_json::to_string(&slow).expect("serializable")
-                );
-                prop_assert_eq!(
-                    &fast_json,
-                    &serde_json::to_string(&shim).expect("serializable")
                 );
                 // Observation is behavior-neutral: the same run under a
                 // recording sink (tracing + gauge sampling on) must

@@ -1,13 +1,9 @@
 //! The one serving-simulation entry point: a borrowing builder.
 //!
-//! Four PRs of organic growth left three parallel free functions
-//! (`simulate`, `simulate_with_ingress`, `simulate_with_recovery`), each
-//! forking the signature for one more axis. [`Simulation`] replaces them:
-//! every axis — window shape, seed, arrival process, ingress classes,
-//! recovery work — is an independent builder method, and [`Simulation::run`]
-//! drives the same optimized engine they all shared. The legacy functions
-//! survive as deprecated shims that delegate here and are property-tested
-//! byte-identical to the equivalent builder chain.
+//! Every axis of a serving run — window shape, seed, arrival process,
+//! ingress classes, recovery work, tenants, resilience — is an independent
+//! builder method, and [`Simulation::run`] drives the one serving engine
+//! (`crate::sim`) over the configured measurement window.
 //!
 //! ```
 //! use parva_serve::Simulation;
@@ -23,8 +19,10 @@
 use crate::recovery::RecoverySpec;
 use crate::report::ServingReport;
 use crate::resilience::ResilienceSpec;
-use crate::sim::{run_simulation, ArrivalProcess, IngressClass, ServingConfig};
+use crate::sim::{ArrivalProcess, Engine, IngressClass, ServingConfig};
 use parva_deploy::{Deployment, ServiceSpec, Tenant};
+use parva_des::SimTime;
+use parva_obs::{TraceEvent, TraceSink, PID_SERVE};
 
 /// A configured serving simulation, ready to [`run`](Simulation::run).
 ///
@@ -36,14 +34,14 @@ use parva_deploy::{Deployment, ServiceSpec, Tenant};
 /// work, Poisson arrivals.
 #[derive(Debug, Clone)]
 pub struct Simulation<'a> {
-    deployment: &'a Deployment,
-    specs: &'a [ServiceSpec],
-    ingress: &'a [Vec<IngressClass>],
-    recovery: Option<&'a RecoverySpec>,
-    tenants: &'a [Tenant],
-    arrival_overrides: &'a [Option<ArrivalProcess>],
-    resilience: Option<&'a ResilienceSpec>,
-    config: ServingConfig,
+    pub(crate) deployment: &'a Deployment,
+    pub(crate) specs: &'a [ServiceSpec],
+    pub(crate) ingress: &'a [Vec<IngressClass>],
+    pub(crate) recovery: Option<&'a RecoverySpec>,
+    pub(crate) tenants: &'a [Tenant],
+    pub(crate) arrival_overrides: &'a [Option<ArrivalProcess>],
+    pub(crate) resilience: Option<&'a ResilienceSpec>,
+    pub(crate) config: ServingConfig,
 }
 
 impl<'a> Simulation<'a> {
@@ -184,18 +182,40 @@ impl<'a> Simulation<'a> {
     /// Observation never changes the report: instrumented runs are
     /// property-tested byte-identical to unobserved ones.
     #[must_use]
-    pub fn run_with<S: parva_obs::TraceSink>(&self, sink: &mut S) -> ServingReport {
-        run_simulation(
-            self.deployment,
-            self.specs,
-            self.ingress,
-            self.recovery,
-            self.tenants,
-            self.arrival_overrides,
-            self.resilience,
-            &self.config,
-            sink,
-        )
+    pub fn run_with<S: TraceSink>(&self, sink: &mut S) -> ServingReport {
+        let c = &self.config;
+        let win_start = SimTime::from_secs(c.warmup_s);
+        let win_end = SimTime::from_secs(c.warmup_s + c.duration_s);
+        let sim_end = SimTime::from_secs(c.warmup_s + c.duration_s + c.drain_s);
+        if S::ENABLED {
+            // Stamp the measurement window into the trace: every report
+            // counter covers `[start_us, end_us)`, so offline analyzers
+            // (`parva_obs::analyze`, `parvactl trace audit`) can recompute
+            // the report's accounting from spans alone, without the config.
+            sink.emit(
+                TraceEvent::instant("window", "meta", 0)
+                    .pid(PID_SERVE)
+                    .arg_u64("start_us", win_start.micros())
+                    .arg_u64("end_us", win_end.micros()),
+            );
+        }
+        let mut engine = Engine::new(self, win_start, win_end, 0);
+        // The run stops at the window's end, not at `sim_end`: every report
+        // field is accumulated strictly inside `[win_start, win_end)`, so
+        // events in the drain tail cannot influence the report (the one
+        // exception, a recovery beginning in the tail, is reproduced by
+        // `into_report`). Skipping the tail is bit-identical and saves the
+        // whole drain period's event processing.
+        let loop_started = std::time::Instant::now();
+        let cpu_started = parva_des::counters::thread_cpu_nanos();
+        engine.run_until(win_end, sink);
+        parva_des::counters::record_sim(
+            engine.queue().processed(),
+            engine.queue().peak_pending(),
+            loop_started.elapsed().as_nanos() as u64,
+            parva_des::counters::thread_cpu_nanos().saturating_sub(cpu_started),
+        );
+        engine.into_report(c.duration_s, sim_end, sink)
     }
 }
 

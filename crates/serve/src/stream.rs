@@ -1,128 +1,36 @@
-//! The epoch-stepped, checkpointable streaming serving engine.
+//! Serving a never-ending request stream, one epoch at a time.
 //!
-//! Where [`crate::sim`] runs one bounded measurement window to completion,
-//! this engine serves a **never-ending** request stream in bounded epochs:
-//! a long-running control plane (`parvad`) calls [`StreamEngine::step_epoch`]
-//! once per epoch, reads the trailing observed gauges, and may swap the
-//! deployment in and out underneath the live traffic via
+//! [`StreamEngine`] is the epoch driver over the one serving engine
+//! (`crate::sim`): the engine runs over an open measurement window, and
+//! each [`StreamEngine::step_epoch`] runs it to the next epoch boundary,
+//! turns the cumulative counters into the epoch's per-service
+//! observations and emits the `parvad-epoch` and `parvad-service` gauge
+//! rows. A long-running control plane (`parvad`) reads those observations
+//! and may swap the deployment under the live traffic between epochs via
 //! [`StreamEngine::reconfigure`] — paying the measured recovery cost
 //! (re-flash serialization, FIFO PCIe weight copies) before any re-sliced
 //! server launches a batch.
 //!
-//! The whole mutable state — event queue (with its FIFO tie-break
-//! sequence), server queues, in-flight batch slab, per-service counters,
-//! latency histograms, routers and RNG streams — is `serde`-serializable,
-//! so a run can suspend at any epoch boundary, snapshot, and resume
-//! **bit-identically**: an interrupted+resumed run produces byte-equal
-//! gauge rows, trace lines and final report to an uninterrupted one
-//! (property-tested in `tests/stream_resume.rs`).
-//!
-//! The perf arithmetic is shared with the batch engine
-//! ([`crate::sim::perf_batch_times`]), so both price batches identically;
-//! scheduling policy (eager full batches, SLO/2-budget partial-batch
-//! deadlines, per-class RTT-tightened timeouts, deficit-WRR routing) also
-//! mirrors the batch engine. The engines differ only in lifecycle: this one
-//! has no warmup/drain window — every request counts, per epoch.
+//! The engine runs the health-checked frontend policy (dark servers are
+//! drained from routing while they recover) and no timeouts, hedging or
+//! shedding. Its whole state — calendar queue with its FIFO tie-break
+//! sequence, server queues, in-flight batch slab, counters, latency
+//! histograms, routers and RNG streams — is `serde`-serializable, so a run
+//! can suspend at any epoch boundary, snapshot, and resume
+//! **bit-identically**: an interrupted and resumed run produces byte-equal
+//! gauge rows, trace lines and final report to an uninterrupted one.
+//! Without reconfigures, N epochs count exactly what one window run over
+//! `[0, N·epoch)` counts. Both properties are tested in
+//! `tests/stream_resume.rs`.
 
 use crate::recovery::RecoverySpec;
-use crate::router::Router;
-use crate::sim::{
-    class_seed, perf_batch_times, recovery_timeline, timeout_from_budget, ArrivalProcess,
-    IngressClass,
-};
+use crate::resilience::ResilienceSpec;
+use crate::sim::{ArrivalProcess, Engine, IngressClass};
+use crate::simulation::Simulation;
 use parva_deploy::{Deployment, ServiceSpec};
-use parva_des::{EventQueue, LatencyHistogram, RngStream, SimTime};
-use parva_obs::{Row, TraceEvent, TraceSink, PID_SERVE};
-use parva_perf::interference::total_interference;
-use parva_perf::{ComputeShare, Model};
+use parva_des::{LatencyHistogram, SimTime};
+use parva_obs::{Row, TraceSink};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-
-/// Sentinel marking an empty batch-timing memo slot.
-const MEMO_EMPTY: SimTime = SimTime(u64::MAX);
-
-// Packed event encoding: tag (4 bits) | a (24 bits) | b (20 bits) — the
-// same layout as the batch engine, but an independent event space (the
-// stream engine rides a serializable [`EventQueue`], not a calendar queue).
-const TAG_SHIFT: u32 = 44;
-const A_SHIFT: u32 = 20;
-const A_MASK: u64 = (1 << 24) - 1;
-const B_MASK: u64 = (1 << 20) - 1;
-
-const TAG_ARRIVAL: u64 = 0;
-const TAG_DONE: u64 = 1;
-const TAG_DEADLINE: u64 = 2;
-const TAG_RECOVERED: u64 = 3;
-const TAG_EPOCH: u64 = 4;
-
-#[inline]
-fn ev(tag: u64, a: u64, b: u64) -> u64 {
-    debug_assert!(a <= A_MASK, "event field a exceeds 24 bits");
-    debug_assert!(b <= B_MASK, "event field b exceeds 20 bits");
-    (tag << TAG_SHIFT) | (a << A_SHIFT) | b
-}
-
-/// One executable server of the streaming engine: the static executor
-/// description plus all mutable queue/occupancy state. Fully serializable
-/// (the perf memo rides along — it is a pure function of the static fields,
-/// so carrying it costs bytes but can never change behavior).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct EngineServer {
-    service: u32,
-    gpu: u32,
-    model: Model,
-    share: ComputeShare,
-    batch: u32,
-    procs: u32,
-    interference: f64,
-    batch_timeout: SimTime,
-    class_timeouts: Vec<SimTime>,
-    perf_memo: Vec<(SimTime, u64)>,
-    dark: bool,
-    queue: VecDeque<(SimTime, u32)>,
-    busy: u32,
-    busy_comp_us: u64,
-}
-
-/// One arrival sub-stream: a `(service, ingress class)` pair with its own
-/// RNG stream and (for MMPP shapes) phase state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ClassState {
-    service: u32,
-    class: u32,
-    /// The class's configured rate before any demand multiplier.
-    base_rate_rps: f64,
-    /// The effective rate used for the next interarrival draw.
-    rate_rps: f64,
-    network_ms: f64,
-    rng: RngStream,
-    bursting: bool,
-    phase_end: SimTime,
-}
-
-/// Cumulative and per-epoch request accounting of one service.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-struct SvcCounters {
-    offered: u64,
-    completed: u64,
-    within_slo: u64,
-    epoch_offered: u64,
-    epoch_completed: u64,
-    epoch_within_slo: u64,
-}
-
-/// One in-flight batch in the recycled slab.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct StreamBatch {
-    members: Vec<(SimTime, u32)>,
-    comp_us: u64,
-    service: u32,
-    server: u32,
-    /// Fabric generation the batch launched under: completions always
-    /// count, but capacity is only returned to a server of the same
-    /// generation (a reconfigure may have replaced it).
-    generation: u64,
-}
 
 /// What one service did during the last completed epoch — the *observed*
 /// demand signal the closed-loop autoscaler estimates from (never the
@@ -186,28 +94,13 @@ pub struct StreamServiceReport {
 /// traits (the whole struct round-trips).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StreamEngine {
-    specs: Vec<ServiceSpec>,
+    core: Engine,
     deployment: Deployment,
-    arrivals: ArrivalProcess,
-    seed: u64,
     epoch_us: u64,
     epoch: u64,
-    /// Bumped on every [`StreamEngine::reconfigure`]; guards pending
-    /// deadline/recovery events and in-flight batch capacity returns
-    /// against servers that no longer exist.
-    generation: u64,
-    queue: EventQueue<u64>,
-    classes: Vec<ClassState>,
-    routers: Vec<Router>,
-    /// Per service: global indices of its servers (router-local order).
-    service_servers: Vec<Vec<u32>>,
-    /// Per service: network term (µs) of each ingress class.
-    svc_network: Vec<Vec<u64>>,
-    servers: Vec<EngineServer>,
-    slab: Vec<StreamBatch>,
-    free: Vec<u32>,
-    counters: Vec<SvcCounters>,
-    latency: Vec<LatencyHistogram>,
+    /// Cumulative per-service counts at the last boundary; an epoch's
+    /// observations are the counts accrued since.
+    at_boundary: Vec<EpochObservation>,
     last_epoch: Vec<EpochObservation>,
 }
 
@@ -217,7 +110,7 @@ impl StreamEngine {
     ///
     /// `ingress[i]` lists the arrival classes of `specs[i]`; missing
     /// services fall back to one local class at the spec rate — the same
-    /// convention as the batch engine.
+    /// convention as [`Simulation::ingress`].
     ///
     /// # Panics
     /// Zero `epoch_us` or empty `specs`.
@@ -232,52 +125,25 @@ impl StreamEngine {
     ) -> Self {
         assert!(epoch_us > 0, "epoch must be positive");
         assert!(!specs.is_empty(), "engine needs at least one service");
-        let n = specs.len();
-        let mut eng = Self {
-            specs,
+        // Health checks only: no timeouts, hedging or shedding.
+        let policy = ResilienceSpec {
+            health_checked: true,
+            ..ResilienceSpec::default()
+        };
+        let sim = Simulation::new(&deployment, &specs)
+            .ingress(ingress)
+            .arrivals(arrivals)
+            .seed(seed)
+            .resilience(&policy);
+        let core = Engine::new(&sim, SimTime::ZERO, SimTime(u64::MAX), epoch_us);
+        Self {
+            core,
             deployment,
-            arrivals,
-            seed,
             epoch_us,
             epoch: 0,
-            generation: 0,
-            queue: EventQueue::new(),
-            classes: Vec::new(),
-            routers: Vec::new(),
-            service_servers: Vec::new(),
-            svc_network: Vec::new(),
-            servers: Vec::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
-            counters: vec![SvcCounters::default(); n],
-            latency: vec![LatencyHistogram::new(); n],
+            at_boundary: Vec::new(),
             last_epoch: Vec::new(),
-        };
-        for i in 0..n {
-            let spec = eng.specs[i];
-            let list: Vec<IngressClass> = match ingress.get(i) {
-                Some(c) if !c.is_empty() => c.clone(),
-                _ => vec![IngressClass::local(spec.request_rate_rps)],
-            };
-            for (c, cls) in list.iter().enumerate() {
-                eng.classes.push(ClassState {
-                    service: i as u32,
-                    class: c as u32,
-                    base_rate_rps: cls.rate_rps,
-                    rate_rps: cls.rate_rps,
-                    network_ms: cls.network_ms,
-                    rng: RngStream::new(class_seed(seed, c), u64::from(spec.id)),
-                    bursting: false,
-                    phase_end: SimTime::ZERO,
-                });
-            }
         }
-        eng.rebuild_fabric();
-        for ci in 0..eng.classes.len() {
-            eng.seed_arrival(ci);
-        }
-        eng.queue.schedule(SimTime(epoch_us), ev(TAG_EPOCH, 0, 0));
-        eng
     }
 
     /// Epochs completed so far.
@@ -289,7 +155,7 @@ impl StreamEngine {
     /// Current simulation time.
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.queue.now()
+        self.core.now()
     }
 
     /// One epoch's duration in seconds.
@@ -301,7 +167,7 @@ impl StreamEngine {
     /// The services currently served, in engine order.
     #[must_use]
     pub fn specs(&self) -> &[ServiceSpec] {
-        &self.specs
+        self.core.specs()
     }
 
     /// The live deployment.
@@ -317,10 +183,16 @@ impl StreamEngine {
         &self.last_epoch
     }
 
+    /// Cumulative latency distribution of every service, in engine order.
+    #[must_use]
+    pub fn latency(&self) -> &[LatencyHistogram] {
+        self.core.latency()
+    }
+
     /// Servers currently dark (recovery outstanding on their GPU).
     #[must_use]
     pub fn dark_servers(&self) -> usize {
-        self.servers.iter().filter(|s| s.dark).count()
+        self.core.dark_servers()
     }
 
     /// Scale every service's offered load: class rates become
@@ -332,44 +204,87 @@ impl StreamEngine {
     /// Non-positive or non-finite multipliers (a dead arrival stream can
     /// never restart itself).
     pub fn set_demand_multiplier(&mut self, per_service: &[f64]) {
-        for cs in &mut self.classes {
-            let m = per_service.get(cs.service as usize).copied().unwrap_or(1.0);
-            assert!(m.is_finite() && m > 0.0, "demand multiplier must be > 0");
-            cs.rate_rps = cs.base_rate_rps * m;
-        }
+        self.core.set_demand_multiplier(per_service);
     }
 
     /// Advance exactly one epoch, emitting gauge rows (and, when the sink
-    /// is enabled, batch execution spans) along the way. Returns the
-    /// epoch's per-service observations.
+    /// is enabled, request, arrival and batch spans) along the way. Returns
+    /// the epoch's per-service observations.
     pub fn step_epoch<S: TraceSink>(&mut self, sink: &mut S) -> &[EpochObservation] {
-        loop {
-            let (_, e) = self
-                .queue
-                .pop()
-                .expect("stream queue never dries: the epoch tick is always pending");
-            let tag = e >> TAG_SHIFT;
-            let a = ((e >> A_SHIFT) & A_MASK) as usize;
-            let b = (e & B_MASK) as usize;
-            match tag {
-                TAG_ARRIVAL => self.on_arrival(a, sink),
-                TAG_DONE => self.on_done(a, sink),
-                TAG_DEADLINE => {
-                    if self.generation & A_MASK == a as u64 {
-                        self.try_start(b, sink);
-                    }
+        self.core
+            .run_until(SimTime((self.epoch + 1) * self.epoch_us), sink);
+        self.epoch += 1;
+        let cumulative: Vec<EpochObservation> = self
+            .specs()
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let (offered, completed, within_slo) = self.core.totals(i);
+                EpochObservation {
+                    service: spec.id,
+                    offered,
+                    completed,
+                    within_slo,
                 }
-                TAG_RECOVERED => {
-                    if self.generation & A_MASK == a as u64 {
-                        self.on_recovered(b, sink);
-                    }
+            })
+            .collect();
+        self.last_epoch = cumulative
+            .iter()
+            .enumerate()
+            .map(|(i, now)| {
+                let before = self.at_boundary.get(i).copied().unwrap_or_default();
+                EpochObservation {
+                    service: now.service,
+                    offered: now.offered - before.offered,
+                    completed: now.completed - before.completed,
+                    within_slo: now.within_slo - before.within_slo,
                 }
-                TAG_EPOCH => {
-                    self.finish_epoch(sink);
-                    return &self.last_epoch;
-                }
-                other => unreachable!("unknown stream event tag {other}"),
-            }
+            })
+            .collect();
+        self.at_boundary = cumulative;
+        self.emit_epoch_rows(sink);
+        &self.last_epoch
+    }
+
+    fn emit_epoch_rows<S: TraceSink>(&self, sink: &mut S) {
+        let t_ms = self.now().micros() as f64 / 1000.0;
+        let offered: u64 = self.last_epoch.iter().map(|o| o.offered).sum();
+        let completed: u64 = self.last_epoch.iter().map(|o| o.completed).sum();
+        let within: u64 = self.last_epoch.iter().map(|o| o.within_slo).sum();
+        sink.sample(
+            Row::new()
+                .str("kind", "parvad-epoch")
+                .u64("epoch", self.epoch)
+                .f64("t_ms", t_ms)
+                .u64("offered", offered)
+                .u64("completed", completed)
+                .u64("within_slo", within)
+                .f64(
+                    "slo_attainment",
+                    if completed == 0 {
+                        1.0
+                    } else {
+                        within as f64 / completed as f64
+                    },
+                )
+                .u64("queue_depth", self.core.queue_depth())
+                .u64("dark_servers", self.dark_servers() as u64)
+                .u64("gpus", self.deployment.gpu_count() as u64),
+        );
+        let epoch_s = self.epoch_seconds();
+        for (i, obs) in self.last_epoch.iter().enumerate() {
+            sink.sample(
+                Row::new()
+                    .str("kind", "parvad-service")
+                    .u64("epoch", self.epoch)
+                    .u64("service", u64::from(obs.service))
+                    .u64("offered", obs.offered)
+                    .u64("completed", obs.completed)
+                    .u64("within_slo", obs.within_slo)
+                    .f64("slo_attainment", obs.attainment())
+                    .f64("rate_obs_rps", obs.offered as f64 / epoch_s)
+                    .u64("replicas", self.core.replicas(i) as u64),
+            );
         }
     }
 
@@ -397,86 +312,8 @@ impl StreamEngine {
         recovery: Option<&RecoverySpec>,
         sink: &mut S,
     ) {
-        let old_n = self.specs.len();
-        assert!(
-            specs.len() >= old_n
-                && specs
-                    .iter()
-                    .zip(&self.specs)
-                    .all(|(new, old)| new.id == old.id),
-            "reconfigure must preserve existing services (append-only)"
-        );
-        // Park every queued request (in-flight batches ride the slab).
-        let mut parked: Vec<(SimTime, u32, u32)> = Vec::new();
-        for s in &mut self.servers {
-            let svc = s.service;
-            for (t, c) in s.queue.drain(..) {
-                parked.push((t, svc, c));
-            }
-        }
-        parked.sort_by_key(|&(t, _, _)| t);
-
-        self.generation += 1;
-        self.specs = specs;
+        self.core.reconfigure(&deployment, specs, recovery, sink);
         self.deployment = deployment;
-        for i in old_n..self.specs.len() {
-            let spec = self.specs[i];
-            self.counters.push(SvcCounters::default());
-            self.latency.push(LatencyHistogram::new());
-            self.classes.push(ClassState {
-                service: i as u32,
-                class: 0,
-                base_rate_rps: spec.request_rate_rps,
-                rate_rps: spec.request_rate_rps,
-                network_ms: 0.0,
-                rng: RngStream::new(class_seed(self.seed, 0), u64::from(spec.id)),
-                bursting: false,
-                phase_end: SimTime::ZERO,
-            });
-            self.seed_arrival(self.classes.len() - 1);
-        }
-        self.rebuild_fabric();
-
-        // Measured recovery: darken re-sliced GPUs until their op lands.
-        if let Some(rs) = recovery.filter(|r| !r.is_empty()) {
-            let ready = recovery_timeline(rs, self.queue.now(), sink);
-            for (i, op) in rs.ops.iter().enumerate() {
-                let Some(gpu) = op.logical_gpu else { continue };
-                for si in 0..self.servers.len() {
-                    if self.servers[si].gpu as usize != gpu {
-                        continue;
-                    }
-                    self.servers[si].dark = true;
-                    self.set_server_health(si, false);
-                    self.queue.schedule(
-                        ready[i].max(self.queue.now()),
-                        ev(TAG_RECOVERED, self.generation & A_MASK, si as u64),
-                    );
-                }
-            }
-        }
-
-        for (t, svc, class) in parked {
-            let svc = svc as usize;
-            if self.service_servers[svc].is_empty() {
-                continue; // no capacity anywhere: the request is lost
-            }
-            let local = self.routers[svc].route();
-            let si = self.service_servers[svc][local] as usize;
-            self.servers[si].queue.push_back((t, class));
-        }
-        for si in 0..self.servers.len() {
-            self.try_start(si, sink);
-        }
-        if S::ENABLED {
-            sink.emit(
-                TraceEvent::instant("reconfigure", "parvad", self.queue.now().micros())
-                    .pid(PID_SERVE)
-                    .arg_u64("generation", self.generation)
-                    .arg_u64("gpus", self.deployment.gpu_count() as u64)
-                    .arg_u64("servers", self.servers.len() as u64),
-            );
-        }
     }
 
     /// Cumulative report over every completed epoch.
@@ -484,394 +321,29 @@ impl StreamEngine {
     pub fn report(&self) -> StreamReport {
         StreamReport {
             epochs: self.epoch,
-            sim_ms: self.queue.now().micros() as f64 / 1000.0,
+            sim_ms: self.now().micros() as f64 / 1000.0,
             services: self
-                .specs
+                .specs()
                 .iter()
+                .zip(self.latency())
                 .enumerate()
-                .map(|(i, spec)| {
-                    let c = &self.counters[i];
+                .map(|(i, (spec, latency))| {
+                    let (offered, completed, within_slo) = self.core.totals(i);
                     StreamServiceReport {
                         id: spec.id,
-                        offered: c.offered,
-                        completed: c.completed,
-                        within_slo: c.within_slo,
-                        attainment: if c.completed == 0 {
+                        offered,
+                        completed,
+                        within_slo,
+                        attainment: if completed == 0 {
                             1.0
                         } else {
-                            c.within_slo as f64 / c.completed as f64
+                            within_slo as f64 / completed as f64
                         },
-                        mean_ms: self.latency[i].mean_ms(),
-                        p99_ms: self.latency[i].quantile_ms(0.99),
+                        mean_ms: latency.mean_ms(),
+                        p99_ms: latency.quantile_ms(0.99),
                     }
                 })
                 .collect(),
-        }
-    }
-
-    // ---- internals ----
-
-    /// Rebuild servers, routers, per-service index maps and class tables
-    /// from the current `(deployment, specs, classes)`.
-    fn rebuild_fabric(&mut self) {
-        let specs = &self.specs;
-        let idx_of = |id: u32| specs.iter().position(|s| s.id == id);
-        let mut servers: Vec<EngineServer> = Vec::new();
-        let mut weights: Vec<Vec<f64>> = vec![Vec::new(); specs.len()];
-        let mut service_servers: Vec<Vec<u32>> = vec![Vec::new(); specs.len()];
-        let mut push = |service: usize,
-                        gpu: usize,
-                        model: Model,
-                        share: ComputeShare,
-                        batch: u32,
-                        procs: u32,
-                        interference: f64,
-                        throughput: f64| {
-            let (full_cycle, _) = perf_batch_times(model, share, interference, batch, procs);
-            let si = servers.len() as u32;
-            servers.push(EngineServer {
-                service: service as u32,
-                gpu: gpu as u32,
-                model,
-                share,
-                batch,
-                procs,
-                interference,
-                batch_timeout: timeout_from_budget(&specs[service], full_cycle),
-                class_timeouts: Vec::new(),
-                perf_memo: vec![(MEMO_EMPTY, 0); (batch * procs) as usize],
-                dark: false,
-                queue: VecDeque::new(),
-                busy: 0,
-                busy_comp_us: 0,
-            });
-            weights[service].push(throughput);
-            service_servers[service].push(si);
-        };
-        match &self.deployment {
-            Deployment::Mig(d) => {
-                for ps in d.segments() {
-                    let Some(service) = idx_of(ps.segment.service_id) else {
-                        continue;
-                    };
-                    push(
-                        service,
-                        ps.gpu,
-                        ps.segment.model,
-                        ComputeShare::Mig(ps.segment.triplet.instance),
-                        ps.segment.triplet.batch,
-                        ps.segment.triplet.procs,
-                        0.0, // MIG isolates
-                        ps.segment.throughput_rps,
-                    );
-                }
-            }
-            Deployment::Mps(d) => {
-                for (gi, gpu) in d.gpus.iter().enumerate() {
-                    for (pi, p) in gpu.partitions.iter().enumerate() {
-                        let Some(service) = idx_of(p.service_id) else {
-                            continue;
-                        };
-                        let co = d.gpus[gi].co_residents(pi);
-                        push(
-                            service,
-                            gi,
-                            p.model,
-                            ComputeShare::Fraction(p.fraction),
-                            p.batch,
-                            p.procs.max(1),
-                            total_interference(p.model, &co),
-                            p.throughput_rps,
-                        );
-                    }
-                }
-            }
-        }
-        // Per-class deadline tightening: a remote class already spent its
-        // RTT, so its queueing budget shrinks by that much.
-        let mut svc_network: Vec<Vec<u64>> = vec![Vec::new(); specs.len()];
-        for cs in &self.classes {
-            let svc = cs.service as usize;
-            let class = cs.class as usize;
-            if svc_network[svc].len() <= class {
-                svc_network[svc].resize(class + 1, 0);
-            }
-            svc_network[svc][class] = SimTime::from_ms(cs.network_ms).micros();
-        }
-        for s in &mut servers {
-            s.class_timeouts = svc_network[s.service as usize]
-                .iter()
-                .map(|&net| SimTime(s.batch_timeout.micros().saturating_sub(net)))
-                .collect();
-        }
-        self.routers = weights
-            .into_iter()
-            .map(|w| {
-                if w.is_empty() {
-                    Router::new(vec![1.0]) // placeholder; never routed to
-                } else {
-                    Router::new(w)
-                }
-            })
-            .collect();
-        self.servers = servers;
-        self.service_servers = service_servers;
-        self.svc_network = svc_network;
-    }
-
-    /// Draw the next interarrival of class `ci` (advancing MMPP phase state
-    /// lazily) and schedule it; no-op for a zero-rate class.
-    fn seed_arrival(&mut self, ci: usize) {
-        if self.classes[ci].rate_rps > 0.0 {
-            let dt = self.draw_interarrival(ci);
-            self.queue.schedule_in(dt, ev(TAG_ARRIVAL, ci as u64, 0));
-        }
-    }
-
-    fn draw_interarrival(&mut self, ci: usize) -> SimTime {
-        let now = self.queue.now();
-        let arrivals = self.arrivals;
-        let cs = &mut self.classes[ci];
-        if let ArrivalProcess::Mmpp { mean_phase_s, .. } = arrivals {
-            while cs.phase_end <= now {
-                let dur = cs.rng.exp_interarrival(1.0 / mean_phase_s.max(1e-9));
-                if cs.phase_end == SimTime::ZERO {
-                    cs.phase_end = now + dur;
-                } else {
-                    cs.bursting = !cs.bursting;
-                    cs.phase_end += dur;
-                }
-            }
-        }
-        let rate = arrivals.phase_rate(cs.rate_rps, cs.bursting);
-        match arrivals {
-            ArrivalProcess::Deterministic => SimTime::from_secs(1.0 / rate),
-            _ => cs.rng.exp_interarrival(rate),
-        }
-    }
-
-    fn on_arrival<S: TraceSink>(&mut self, ci: usize, sink: &mut S) {
-        let svc = self.classes[ci].service as usize;
-        let class = self.classes[ci].class;
-        self.counters[svc].offered += 1;
-        self.counters[svc].epoch_offered += 1;
-        if !self.service_servers[svc].is_empty() {
-            let local = self.routers[svc].route();
-            let si = self.service_servers[svc][local] as usize;
-            let now = self.queue.now();
-            self.servers[si].queue.push_back((now, class));
-            self.try_start(si, sink);
-        }
-        let dt = self.draw_interarrival(ci);
-        self.queue.schedule_in(dt, ev(TAG_ARRIVAL, ci as u64, 0));
-    }
-
-    fn on_done<S: TraceSink>(&mut self, id: usize, sink: &mut S) {
-        let members = std::mem::take(&mut self.slab[id].members);
-        let (svc, server, comp_us, generation) = {
-            let b = &self.slab[id];
-            (
-                b.service as usize,
-                b.server as usize,
-                b.comp_us,
-                b.generation,
-            )
-        };
-        let now = self.queue.now();
-        let slo_us = SimTime::from_ms(self.specs[svc].slo.latency_ms).micros();
-        for (arr, class) in members {
-            let net = self.svc_network[svc]
-                .get(class as usize)
-                .copied()
-                .unwrap_or(0);
-            let latency_us = now.micros().saturating_sub(arr.micros()) + net;
-            self.latency[svc].record_us(latency_us);
-            let c = &mut self.counters[svc];
-            c.completed += 1;
-            c.epoch_completed += 1;
-            if latency_us <= slo_us {
-                c.within_slo += 1;
-                c.epoch_within_slo += 1;
-            }
-        }
-        self.free.push(id as u32);
-        if generation == self.generation {
-            let s = &mut self.servers[server];
-            s.busy -= 1;
-            s.busy_comp_us += comp_us;
-            self.try_start(server, sink);
-        }
-    }
-
-    fn on_recovered<S: TraceSink>(&mut self, si: usize, sink: &mut S) {
-        self.servers[si].dark = false;
-        self.set_server_health(si, true);
-        if S::ENABLED {
-            sink.emit(
-                TraceEvent::instant("server-recovered", "parvad", self.queue.now().micros())
-                    .pid(PID_SERVE)
-                    .tid(si as u32)
-                    .arg_u64("gpu", u64::from(self.servers[si].gpu)),
-            );
-        }
-        self.try_start(si, sink);
-    }
-
-    /// Flip one server's health bit in its service's router.
-    fn set_server_health(&mut self, si: usize, healthy: bool) {
-        let svc = self.servers[si].service as usize;
-        if let Some(local) = self.service_servers[svc]
-            .iter()
-            .position(|&x| x as usize == si)
-        {
-            self.routers[svc].set_healthy(local, healthy);
-        }
-    }
-
-    fn batch_times_memo(&mut self, si: usize, b_eff: u32, n_busy: u32) -> (SimTime, u64) {
-        let s = &self.servers[si];
-        let idx = ((b_eff - 1) * s.procs + (n_busy - 1)) as usize;
-        let cached = s.perf_memo[idx];
-        if cached.0 != MEMO_EMPTY {
-            return cached;
-        }
-        let computed = perf_batch_times(s.model, s.share, s.interference, b_eff, n_busy);
-        self.servers[si].perf_memo[idx] = computed;
-        computed
-    }
-
-    fn launch<S: TraceSink>(&mut self, si: usize, size: u32, sink: &mut S) {
-        let id = self.free.pop().unwrap_or_else(|| {
-            self.slab.push(StreamBatch::default());
-            (self.slab.len() - 1) as u32
-        }) as usize;
-        let members: Vec<(SimTime, u32)> = self.servers[si].queue.drain(..size as usize).collect();
-        self.servers[si].busy += 1;
-        let n_busy = self.servers[si].busy;
-        let (cycle, comp_us) = self.batch_times_memo(si, size, n_busy);
-        let b = &mut self.slab[id];
-        b.members = members;
-        b.comp_us = comp_us;
-        b.service = self.servers[si].service;
-        b.server = si as u32;
-        b.generation = self.generation;
-        if S::ENABLED {
-            let now = self.queue.now();
-            sink.emit(
-                TraceEvent::span("execute", "batch", now.micros(), cycle.micros())
-                    .pid(PID_SERVE)
-                    .tid(si as u32)
-                    .arg_u64(
-                        "service",
-                        u64::from(self.specs[self.servers[si].service as usize].id),
-                    )
-                    .arg_u64("size", u64::from(size))
-                    .arg_u64("n_busy", u64::from(n_busy)),
-            );
-        }
-        self.queue
-            .schedule_in(cycle, ev(TAG_DONE, id as u64, si as u64));
-    }
-
-    /// Adaptive batching, mirroring the batch engine: launch full batches
-    /// eagerly; a partial queue launches once its head's class deadline
-    /// expires, else arms a (generation-guarded) deadline event.
-    fn try_start<S: TraceSink>(&mut self, si: usize, sink: &mut S) {
-        loop {
-            let s = &self.servers[si];
-            if s.dark || s.busy >= s.procs {
-                return;
-            }
-            let queued = s.queue.len();
-            let full = s.batch;
-            if queued >= full as usize {
-                self.launch(si, full, sink);
-                continue;
-            }
-            if queued == 0 {
-                return;
-            }
-            let (head, class) = *s.queue.front().expect("non-empty");
-            let timeout = s
-                .class_timeouts
-                .get(class as usize)
-                .copied()
-                .unwrap_or(s.batch_timeout);
-            let deadline = head + timeout;
-            if self.queue.now() >= deadline {
-                let size = (queued as u32).min(full);
-                self.launch(si, size, sink);
-            } else {
-                self.queue.schedule(
-                    deadline,
-                    ev(TAG_DEADLINE, self.generation & A_MASK, si as u64),
-                );
-            }
-            return;
-        }
-    }
-
-    fn finish_epoch<S: TraceSink>(&mut self, sink: &mut S) {
-        self.epoch += 1;
-        self.queue
-            .schedule_in(SimTime(self.epoch_us), ev(TAG_EPOCH, 0, 0));
-        self.last_epoch = self
-            .specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| EpochObservation {
-                service: spec.id,
-                offered: self.counters[i].epoch_offered,
-                completed: self.counters[i].epoch_completed,
-                within_slo: self.counters[i].epoch_within_slo,
-            })
-            .collect();
-        let now = self.queue.now();
-        let t_ms = now.micros() as f64 / 1000.0;
-        let offered: u64 = self.last_epoch.iter().map(|o| o.offered).sum();
-        let completed: u64 = self.last_epoch.iter().map(|o| o.completed).sum();
-        let within: u64 = self.last_epoch.iter().map(|o| o.within_slo).sum();
-        let queue_depth: u64 = self.servers.iter().map(|s| s.queue.len() as u64).sum();
-        let dark = self.dark_servers() as u64;
-        sink.sample(
-            Row::new()
-                .str("kind", "parvad-epoch")
-                .u64("epoch", self.epoch)
-                .f64("t_ms", t_ms)
-                .u64("offered", offered)
-                .u64("completed", completed)
-                .u64("within_slo", within)
-                .f64(
-                    "slo_attainment",
-                    if completed == 0 {
-                        1.0
-                    } else {
-                        within as f64 / completed as f64
-                    },
-                )
-                .u64("queue_depth", queue_depth)
-                .u64("dark_servers", dark)
-                .u64("gpus", self.deployment.gpu_count() as u64),
-        );
-        let epoch_s = self.epoch_seconds();
-        for (i, obs) in self.last_epoch.clone().into_iter().enumerate() {
-            sink.sample(
-                Row::new()
-                    .str("kind", "parvad-service")
-                    .u64("epoch", self.epoch)
-                    .u64("service", u64::from(obs.service))
-                    .u64("offered", obs.offered)
-                    .u64("completed", obs.completed)
-                    .u64("within_slo", obs.within_slo)
-                    .f64("slo_attainment", obs.attainment())
-                    .f64("rate_obs_rps", obs.offered as f64 / epoch_s)
-                    .u64("replicas", self.service_servers[i].len() as u64),
-            );
-        }
-        for c in &mut self.counters {
-            c.epoch_offered = 0;
-            c.epoch_completed = 0;
-            c.epoch_within_slo = 0;
         }
     }
 }

@@ -6,12 +6,16 @@
 //! cumulative report. Coverage spans seeds × suspension points × MIG/MPS
 //! deployments × ingress splits × arrival processes, with workloads drawn
 //! from the paper's Table IV scenario registry.
+//!
+//! The same generators pin the streaming engine to the window engine: N
+//! epochs without reconfigures count exactly what one `Simulation` window
+//! over `[0, N·epoch)` counts.
 
 use parva_deploy::{Deployment, Scheduler, ServiceSpec};
 use parva_obs::Recorder;
 use parva_profile::ProfileBook;
 use parva_scenarios::Scenario;
-use parva_serve::{ArrivalProcess, IngressClass, StreamEngine};
+use parva_serve::{ArrivalProcess, IngressClass, ResilienceSpec, Simulation, StreamEngine};
 use proptest::prelude::*;
 
 /// Epochs are short (0.2 s of simulated traffic) so a case stays cheap
@@ -52,6 +56,17 @@ fn ingress_for(specs: &[ServiceSpec], remote_share: f64, rtt_ms: f64) -> Vec<Vec
         .collect()
 }
 
+fn arrivals_of(pick: usize) -> ArrivalProcess {
+    match pick {
+        0 => ArrivalProcess::Poisson,
+        1 => ArrivalProcess::Deterministic,
+        _ => ArrivalProcess::Mmpp {
+            burst_factor: 3.0,
+            mean_phase_s: 0.3,
+        },
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -70,11 +85,7 @@ proptest! {
             return Ok(());
         };
         let ingress = ingress_for(&specs, f64::from(remote_tenths) / 10.0, rtt);
-        let arrivals = match arrivals_pick {
-            0 => ArrivalProcess::Poisson,
-            1 => ArrivalProcess::Deterministic,
-            _ => ArrivalProcess::Mmpp { burst_factor: 3.0, mean_phase_s: 0.3 },
-        };
+        let arrivals = arrivals_of(arrivals_pick);
 
         // Control: one uninterrupted run.
         let mut control = StreamEngine::new(
@@ -108,5 +119,52 @@ proptest! {
             serde_json::to_string(&control.report()).expect("report serializes"),
             serde_json::to_string(&resumed.report()).expect("report serializes")
         );
+    }
+
+    #[test]
+    fn stream_epochs_equal_one_batch_window(
+        seed in 0u64..1_000_000,
+        scenario_idx in 0usize..6,
+        mps in 0u32..2,
+        remote_tenths in 0u32..=5,
+        rtt in 1.0f64..120.0,
+        arrivals_pick in 0usize..3,
+    ) {
+        let scenario = Scenario::ALL[scenario_idx];
+        let Some((d, specs)) = deployment(scenario, mps == 1) else {
+            return Ok(());
+        };
+        let ingress = ingress_for(&specs, f64::from(remote_tenths) / 10.0, rtt);
+        let arrivals = arrivals_of(arrivals_pick);
+
+        let mut stream = StreamEngine::new(
+            d.clone(), specs.clone(), &ingress, arrivals, seed, EPOCH_US,
+        );
+        for _ in 0..TOTAL_EPOCHS {
+            stream.step_epoch(&mut parva_obs::NullSink);
+        }
+
+        // The streaming engine's policy: health checks, nothing else.
+        let policy = ResilienceSpec { health_checked: true, ..ResilienceSpec::default() };
+        let batch = Simulation::new(&d, &specs)
+            .ingress(&ingress)
+            .arrivals(arrivals)
+            .seed(seed)
+            .window(0.0, (TOTAL_EPOCHS * EPOCH_US) as f64 * 1e-6, 0.0)
+            .resilience(&policy)
+            .run();
+
+        let streamed = stream.report();
+        prop_assert_eq!(streamed.services.len(), batch.services.len());
+        for ((s, b), hist) in streamed.services.iter().zip(&batch.services).zip(stream.latency()) {
+            prop_assert_eq!(s.id, b.service_id);
+            prop_assert_eq!(s.offered, b.offered);
+            prop_assert_eq!(s.completed, b.completed);
+            prop_assert_eq!(s.within_slo, b.completed_within_slo);
+            prop_assert_eq!(
+                serde_json::to_string(hist).expect("histogram serializes"),
+                serde_json::to_string(&b.latency).expect("histogram serializes")
+            );
+        }
     }
 }
