@@ -7,27 +7,19 @@
 //! its segments are relocated, and unaffected GPUs keep serving; shadow
 //! processes bridge the brief MIG/MPS reconfiguration window.
 //!
-//! This crate closes the loop: [`RateTrace`] describes per-epoch load
-//! multipliers (diurnal curves, spikes, ramps), and [`run_traced`] walks the
-//! epochs — rescheduling **incrementally** through
-//! [`parva_core::reconfigure`], serving each epoch in the simulator, and
-//! accounting fleet size, SLO compliance and reconfiguration churn per
-//! epoch. The result quantifies what the paper only argues: that ParvaGPU's
-//! two-stage scheduler is cheap and local enough to chase load.
+//! This crate holds the two pieces the control loops share:
+//! [`DemandEstimator`] turns observed per-epoch arrivals into demand specs
+//! (the `parvad` autoscaler's only demand signal), and [`shadow`] simulates
+//! the service-displacement window of a reconfiguration or recovery.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod estimator;
-pub mod orchestrator;
 pub mod shadow;
-pub mod trace;
 
 pub use estimator::DemandEstimator;
-#[allow(deprecated)]
-pub use orchestrator::{run_traced, EpochReport, TraceReport};
 pub use shadow::{
     displacement_window, simulate_displacement_window, simulate_window, DisplacementWindow,
     DisruptionReport,
 };
-pub use trace::RateTrace;

@@ -11,7 +11,7 @@ use crate::allocator::{allocation, fill, optimize, AllocatorConfig, SegmentQueue
 use crate::configurator::configure_service;
 use crate::scheduler::ParvaGpu;
 use crate::service::Service;
-use parva_deploy::{MigDeployment, PlacedSegment, ScheduleError, ServiceSpec};
+use parva_deploy::{physical_diff, MigDeployment, PlacedSegment, ScheduleError, ServiceSpec};
 
 /// The result of a reconfiguration step.
 #[derive(Debug, Clone)]
@@ -20,9 +20,10 @@ pub struct ReconfigOutcome {
     pub deployment: MigDeployment,
     /// The re-configured service (new Table II fields).
     pub service: Service,
-    /// GPUs whose MIG layout changed and therefore need physical
+    /// GPUs whose segments changed and therefore need physical
     /// reconfiguration (milliseconds-to-seconds of downtime each, bridged by
-    /// shadow processes in the paper's deployment model).
+    /// shadow processes in the paper's deployment model): the key set of
+    /// [`parva_deploy::physical_diff`], ascending.
     pub reconfigured_gpus: Vec<usize>,
 }
 
@@ -144,25 +145,15 @@ pub fn update_service(
     })
 }
 
-/// GPUs whose (segment set, placement) differ between two deployments.
+/// GPUs whose `(service, placement)` multiset differs between two
+/// deployments: the key set of their [`physical_diff`], ascending.
 fn diff_gpus(before: &MigDeployment, after: &MigDeployment) -> Vec<usize> {
-    let n = before.gpu_count().max(after.gpu_count());
-    let mut changed = Vec::new();
-    for gpu in 0..n {
-        let mut b: Vec<(u32, parva_mig::Placement)> = before
-            .segments_on(gpu)
-            .map(|ps| (ps.segment.service_id, ps.placement))
-            .collect();
-        let mut a: Vec<(u32, parva_mig::Placement)> = after
-            .segments_on(gpu)
-            .map(|ps| (ps.segment.service_id, ps.placement))
-            .collect();
-        b.sort_unstable();
-        a.sort_unstable();
-        if a != b {
-            changed.push(gpu);
-        }
-    }
+    let mut changed: Vec<usize> = physical_diff(before, Some, after, Some)
+        .changes
+        .into_iter()
+        .map(|c| c.key)
+        .collect();
+    changed.sort_unstable();
     changed
 }
 
@@ -237,6 +228,19 @@ mod tests {
         assert!(update_service(&sched, &deployment, &services, updated).is_err());
         // Original deployment untouched (we only cloned).
         assert!(deployment.validate());
+    }
+
+    #[test]
+    fn identical_spec_changes_no_gpu() {
+        let book = ProfileBook::builtin();
+        let sched = ParvaGpu::new(&book);
+        let (services, deployment) = sched.plan(&specs()).unwrap();
+        for spec in specs() {
+            let out = update_service(&sched, &deployment, &services, spec).unwrap();
+            assert!(out.reconfigured_gpus.is_empty(), "service {}", spec.id);
+            let diff = physical_diff(&deployment, Some, &out.deployment, Some);
+            assert!(diff.changes.is_empty(), "service {}", spec.id);
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`Segment`] — "an MPS-activated MIG instance" (paper §I): a service's
 //!   operating triplet plus its predicted throughput and latency.
 //! * [`MigDeployment`] — segments placed on MIG-partitioned GPUs (ParvaGPU,
-//!   MIG-serving).
+//!   MIG-serving), and [`physical_diff`], what changes on each GPU when one
+//!   deployment replaces another.
 //! * [`MpsDeployment`] — fractional MPS partitions on whole GPUs (gpulet,
 //!   iGniter).
 //! * [`Scheduler`] — the common trait: services in, deployment out, plus the
@@ -29,7 +30,7 @@ pub mod tenant;
 
 pub use capability::{Capabilities, OverheadClass, SpatialScheduling};
 pub use error::ScheduleError;
-pub use mig_deployment::{MigDeployment, PlacedSegment};
+pub use mig_deployment::{physical_diff, GpuChange, MigDeployment, PhysicalDiff, PlacedSegment};
 pub use mps_deployment::{MpsDeployment, MpsGpu, MpsPartition};
 pub use scheduler::{Deployment, Scheduler};
 pub use segment::Segment;

@@ -2,6 +2,7 @@
 
 use crate::segment::Segment;
 use parva_mig::{GpuState, Placement};
+use parva_perf::PerfParams;
 use serde::{Deserialize, Serialize};
 
 /// A segment bound to a physical location: GPU index + slice placement.
@@ -194,6 +195,127 @@ impl MigDeployment {
         }
         counted == self.segments.len()
     }
+}
+
+/// What physically changes on one GPU between two deployments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GpuChange<K> {
+    /// The GPU's physical key.
+    pub key: K,
+    /// Logical GPU of the new deployment on this key; `None` when the GPU
+    /// was vacated.
+    pub gpu: Option<usize>,
+    /// Its multiset of MIG placements changed, so it re-flashes (a vacated
+    /// GPU re-flashes to empty).
+    pub reflash: bool,
+    /// Weights of the segments new on this GPU, GiB.
+    pub copy_gib: f64,
+}
+
+/// The physical diff between two deployments: every GPU whose multiset of
+/// `(placement, service)` segments changed. Paper §III-F: a GPU whose
+/// placements did not change needs no reconfiguration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PhysicalDiff<K> {
+    /// GPUs hosting segments afterwards in key order, then vacated GPUs in
+    /// key order.
+    pub changes: Vec<GpuChange<K>>,
+    /// Segments that are new on their GPU (their weights must load).
+    pub new_segments: usize,
+    /// Total weights of the new segments, GiB.
+    pub copy_gib: f64,
+}
+
+/// Diff two deployments GPU by GPU. `before_key` and `after_key` map each
+/// deployment's logical GPUs to physical keys (`None`: not placed);
+/// segments compare by `(key, placement, service)`, count-aware, and each
+/// new one is priced by its model's weights.
+pub fn physical_diff<K: Ord + Copy>(
+    before: &MigDeployment,
+    before_key: impl Fn(usize) -> Option<K>,
+    after: &MigDeployment,
+    after_key: impl Fn(usize) -> Option<K>,
+) -> PhysicalDiff<K> {
+    // Both sides as sorted `(key, placement, service)` identities; the new
+    // side also carries each segment's index.
+    let mut old: Vec<(K, Placement, u32)> = before
+        .segments
+        .iter()
+        .filter_map(|ps| Some((before_key(ps.gpu)?, ps.placement, ps.segment.service_id)))
+        .collect();
+    old.sort_unstable();
+    let mut new: Vec<(K, Placement, u32, usize)> = after
+        .segments
+        .iter()
+        .enumerate()
+        .filter_map(|(i, ps)| Some((after_key(ps.gpu)?, ps.placement, ps.segment.service_id, i)))
+        .collect();
+    new.sort_unstable();
+
+    // Per new segment: the change it is new on, if it is new.
+    let mut fresh: Vec<Option<usize>> = vec![None; after.segments.len()];
+    let mut changes = Vec::new();
+    let mut vacated = Vec::new();
+    let (mut o, mut n) = (0, 0);
+    loop {
+        let key = match (old.get(o), new.get(n)) {
+            (Some(a), Some(b)) => a.0.min(b.0),
+            (Some(a), None) => a.0,
+            (None, Some(b)) => b.0,
+            (None, None) => break,
+        };
+        let o_end = o + old[o..].iter().take_while(|s| s.0 == key).count();
+        let n_end = n + new[n..].iter().take_while(|s| s.0 == key).count();
+        let (was, now) = (&old[o..o_end], &new[n..n_end]);
+        (o, n) = (o_end, n_end);
+        let Some(first) = now.first() else {
+            vacated.push(key);
+            continue;
+        };
+        // Sorted by placement first, so equal sequences are equal multisets.
+        let reflash = !was.iter().map(|s| s.1).eq(now.iter().map(|s| s.1));
+        let mut any_fresh = false;
+        let mut kept = was.iter().peekable();
+        for s in now {
+            while kept.next_if(|k| (k.1, k.2) < (s.1, s.2)).is_some() {}
+            if kept.next_if(|k| (k.1, k.2) == (s.1, s.2)).is_none() {
+                fresh[s.3] = Some(changes.len());
+                any_fresh = true;
+            }
+        }
+        if reflash || any_fresh {
+            changes.push(GpuChange {
+                key,
+                gpu: Some(after.segments[first.3].gpu),
+                reflash,
+                copy_gib: 0.0,
+            });
+        }
+    }
+
+    let mut diff = PhysicalDiff {
+        changes,
+        new_segments: 0,
+        copy_gib: 0.0,
+    };
+    // Priced in the new deployment's segment order, which fixes the order
+    // of the float sums for every caller.
+    for (ps, change) in after.segments.iter().zip(fresh) {
+        if let Some(c) = change {
+            let weights = PerfParams::for_model(ps.segment.model).weights_gib;
+            diff.changes[c].copy_gib += weights;
+            diff.new_segments += 1;
+            diff.copy_gib += weights;
+        }
+    }
+    diff.changes
+        .extend(vacated.into_iter().map(|key| GpuChange {
+            key,
+            gpu: None,
+            reflash: true,
+            copy_gib: 0.0,
+        }));
+    diff
 }
 
 #[cfg(test)]

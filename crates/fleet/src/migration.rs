@@ -1,17 +1,18 @@
 //! Migration planning: what physically moves when the fleet recovers.
 //!
 //! A recovery step transforms `(deployment, placement)` — the logical map
-//! plus its physical assignment — into a new pair. The migration plan is
-//! the physical diff: which segments land on a different physical GPU (and
-//! must reload weights there), which physical GPUs change MIG layout (and
-//! must re-flash, paper §III-F's "milliseconds to a few seconds" window),
-//! and how many GPCs are left stranded on in-service GPUs afterwards.
+//! plus its physical assignment — into a new pair. The migration plan
+//! prices their physical diff ([`parva_deploy::physical_diff`], keyed by
+//! fleet slot): which segments land on a different physical GPU (and must
+//! reload weights there), which physical GPUs change MIG layout (and must
+//! re-flash, paper §III-F's "milliseconds to a few seconds" window), and
+//! how many GPCs are left stranded on in-service GPUs afterwards. This
+//! module's constants and [`recovery_ops`] also price the `parvad`
+//! daemon's re-plans.
 
 use crate::node::{Fleet, GpuSlot};
 use crate::placer::FleetPlacement;
-use parva_deploy::MigDeployment;
-use parva_mig::Placement;
-use parva_perf::PerfParams;
+use parva_deploy::{physical_diff, MigDeployment, PhysicalDiff};
 use parva_serve::{RecoveryOp, RecoverySpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -56,42 +57,6 @@ pub struct MigrationPlan {
     pub ops: Vec<RecoveryOp>,
 }
 
-/// One physical segment identity: where it runs and what it is.
-type PhysicalSegment = (GpuSlot, Placement, u32);
-
-fn physical_segments(
-    deployment: &MigDeployment,
-    placement: &FleetPlacement,
-) -> Vec<(PhysicalSegment, f64)> {
-    deployment
-        .segments()
-        .iter()
-        .filter_map(|ps| {
-            placement.slot_of(ps.gpu).map(|slot| {
-                let weights = PerfParams::for_model(ps.segment.model).weights_gib;
-                ((slot, ps.placement, ps.segment.service_id), weights)
-            })
-        })
-        .collect()
-}
-
-/// Per-physical-GPU layout (multiset of placements).
-fn layouts(
-    deployment: &MigDeployment,
-    placement: &FleetPlacement,
-) -> BTreeMap<GpuSlot, Vec<Placement>> {
-    let mut map: BTreeMap<GpuSlot, Vec<Placement>> = BTreeMap::new();
-    for ps in deployment.segments() {
-        if let Some(slot) = placement.slot_of(ps.gpu) {
-            map.entry(slot).or_default().push(ps.placement);
-        }
-    }
-    for v in map.values_mut() {
-        v.sort_unstable();
-    }
-    map
-}
-
 impl MigrationPlan {
     /// Diff two `(deployment, placement)` states into a migration plan.
     #[must_use]
@@ -100,78 +65,15 @@ impl MigrationPlan {
         after: (&MigDeployment, &FleetPlacement),
         fleet: &Fleet,
     ) -> Self {
-        let old: Vec<(PhysicalSegment, f64)> = physical_segments(before.0, before.1);
-        let new: Vec<(PhysicalSegment, f64)> = physical_segments(after.0, after.1);
-
-        // A segment "stays" when an identical physical identity existed
-        // before; extras (count-aware) are migrations/new launches.
-        let mut old_counts: BTreeMap<PhysicalSegment, usize> = BTreeMap::new();
-        for (k, _) in &old {
-            *old_counts.entry(*k).or_insert(0) += 1;
-        }
-        let mut migrated = 0usize;
-        let mut weight_copy_gib = 0.0;
-        let mut per_gpu_copy: BTreeMap<GpuSlot, f64> = BTreeMap::new();
-        for (k, weights) in &new {
-            match old_counts.get_mut(k) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => {
-                    migrated += 1;
-                    weight_copy_gib += weights;
-                    *per_gpu_copy.entry(k.0).or_insert(0.0) += weights;
-                }
-            }
-        }
-
-        let old_layouts = layouts(before.0, before.1);
-        let new_layouts = layouts(after.0, after.1);
-        // Physical slot → logical GPU of the recovered map (placements are
-        // injective: each logical GPU owns one slot).
-        let logical_of: BTreeMap<GpuSlot, usize> =
-            after.1.slots.iter().map(|&(l, s)| (s, l)).collect();
-        let mut reflashed = 0usize;
-        let mut reflashed_slots: Vec<GpuSlot> = Vec::new();
-        for (slot, layout) in &new_layouts {
-            if old_layouts.get(slot) != Some(layout) {
-                reflashed += 1;
-                reflashed_slots.push(*slot);
-            }
-        }
-        // GPUs that went fully dark on *surviving* nodes also re-flash to
-        // empty; dead nodes' GPUs do not — nobody is left to flash them.
-        let mut vacated_slots: Vec<GpuSlot> = Vec::new();
-        for slot in old_layouts.keys() {
-            if !new_layouts.contains_key(slot) && fleet.node(slot.node).alive {
-                reflashed += 1;
-                vacated_slots.push(*slot);
-            }
-        }
-
-        // Lower the physical work to per-GPU recovery ops, slot order.
-        let mut ops: Vec<RecoveryOp> = Vec::new();
-        let affected: std::collections::BTreeSet<GpuSlot> = reflashed_slots
-            .iter()
-            .chain(per_gpu_copy.keys())
-            .copied()
-            .collect();
-        for slot in affected {
-            ops.push(RecoveryOp {
-                node: slot.node,
-                logical_gpu: logical_of.get(&slot).copied(),
-                reflash: reflashed_slots.contains(&slot),
-                copy_gib: per_gpu_copy.get(&slot).copied().unwrap_or(0.0),
-                prepared: false,
-            });
-        }
-        for slot in vacated_slots {
-            ops.push(RecoveryOp {
-                node: slot.node,
-                logical_gpu: None,
-                reflash: true,
-                copy_gib: 0.0,
-                prepared: false,
-            });
-        }
+        let diff = physical_diff(
+            before.0,
+            |g| before.1.slot_of(g),
+            after.0,
+            |g| after.1.slot_of(g),
+        );
+        // GPUs vacated on dead nodes do not re-flash: nobody is left to
+        // flash them.
+        let ops = recovery_ops(&diff, |slot| slot.node, |node| fleet.node(node).alive);
 
         // Worst per-node re-flash queue (NVML serializes within a node).
         let mut per_node_reflash: BTreeMap<usize, usize> = BTreeMap::new();
@@ -193,15 +95,15 @@ impl MigrationPlan {
         };
 
         let worst_copy_s =
-            per_gpu_copy.values().fold(0.0f64, |a, &b| a.max(b)) / WEIGHT_COPY_GIB_PER_S;
+            ops.iter().fold(0.0f64, |a, o| a.max(o.copy_gib)) / WEIGHT_COPY_GIB_PER_S;
         let recovery_latency_ms =
             CONTROL_PLANE_MS + reflash_waves as f64 * MIG_REFLASH_MS + worst_copy_s * 1_000.0;
 
         Self {
-            migrated_segments: migrated,
-            reflashed_gpus: reflashed,
+            migrated_segments: diff.new_segments,
+            reflashed_gpus: per_node_reflash.values().sum(),
             reflash_waves,
-            weight_copy_gib,
+            weight_copy_gib: diff.copy_gib,
             stranded_gpcs,
             recovery_latency_ms,
             ops,
@@ -287,6 +189,29 @@ impl MigrationPlan {
         }
         recovery_spec_from_ops(ops, start_ms)
     }
+}
+
+/// Lower a physical diff to per-GPU recovery ops in its change order, on
+/// the nodes `node_of` names. A GPU vacated on a node that is not `alive`
+/// is dropped.
+#[must_use]
+pub fn recovery_ops<K: Copy>(
+    diff: &PhysicalDiff<K>,
+    node_of: impl Fn(K) -> usize,
+    alive: impl Fn(usize) -> bool,
+) -> Vec<RecoveryOp> {
+    diff.changes
+        .iter()
+        .map(|c| (node_of(c.key), c))
+        .filter(|&(node, c)| c.gpu.is_some() || alive(node))
+        .map(|(node, c)| RecoveryOp {
+            node,
+            logical_gpu: c.gpu,
+            reflash: c.reflash,
+            copy_gib: c.copy_gib,
+            prepared: false,
+        })
+        .collect()
 }
 
 /// Assemble a serving-DES recovery spec from already-lowered ops, wiring

@@ -498,10 +498,34 @@ mod tests {
     use super::*;
     use crate::{Recorder, TraceEvent};
 
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("parva-obs-stream-{name}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A scratch directory owned by one test and removed when dropped; the
+    /// name carries the process id and a counter, so concurrent test
+    /// processes never share one.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(label: &str) -> Self {
+            use std::sync::atomic::{AtomicU64, Ordering};
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let path = std::env::temp_dir().join(format!(
+                "parva-obs-stream-{label}-{}-{n}",
+                std::process::id()
+            ));
+            // Left over by an earlier process that had the same pid and died.
+            let _ = std::fs::remove_dir_all(&path);
+            TempDir(path)
+        }
+
+        fn path(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn ev(i: u64) -> TraceEvent {
@@ -510,12 +534,13 @@ mod tests {
 
     #[test]
     fn rotation_exactly_at_shard_boundary() {
-        let dir = tmp_dir("boundary");
+        let tmp = TempDir::new("boundary");
+        let dir = tmp.path();
         let cfg = StreamConfig {
             shard_max_events: 4,
             ..StreamConfig::default()
         };
-        let mut sink = StreamSink::create(&dir, 0, cfg).unwrap();
+        let mut sink = StreamSink::create(dir, 0, cfg).unwrap();
         for i in 0..8 {
             sink.emit(ev(i));
         }
@@ -523,14 +548,15 @@ mod tests {
         // Exactly two full shards — no empty third shard after the 8th
         // event lands on the boundary.
         assert_eq!(stats.trace_shards, 2);
-        let files = shard_files(&dir, "trace").unwrap();
+        let files = shard_files(dir, "trace").unwrap();
         assert_eq!(files.len(), 2);
         for f in &files {
             assert_eq!(std::fs::read_to_string(f).unwrap().lines().count(), 4);
         }
         // One more event opens shard 2.
-        let dir2 = tmp_dir("boundary2");
-        let mut sink = StreamSink::create(&dir2, 0, cfg).unwrap();
+        let tmp2 = TempDir::new("boundary2");
+        let dir2 = tmp2.path();
+        let mut sink = StreamSink::create(dir2, 0, cfg).unwrap();
         for i in 0..9 {
             sink.emit(ev(i));
         }
@@ -539,13 +565,14 @@ mod tests {
 
     #[test]
     fn age_rotation_splits_by_sim_time() {
-        let dir = tmp_dir("age");
+        let tmp = TempDir::new("age");
+        let dir = tmp.path();
         let cfg = StreamConfig {
             shard_max_events: 0,
             rotate_us: 100,
             retain_shards: 0,
         };
-        let mut sink = StreamSink::create(&dir, 0, cfg).unwrap();
+        let mut sink = StreamSink::create(dir, 0, cfg).unwrap();
         // ts 0, 10, …, 90 in shard 0; ts 100 rotates; ts 200 rotates again.
         for i in 0..=20 {
             sink.emit(ev(i));
@@ -557,13 +584,14 @@ mod tests {
 
     #[test]
     fn retention_deletes_oldest_first() {
-        let dir = tmp_dir("retention");
+        let tmp = TempDir::new("retention");
+        let dir = tmp.path();
         let cfg = StreamConfig {
             shard_max_events: 2,
             rotate_us: 0,
             retain_shards: 2,
         };
-        let mut sink = StreamSink::create(&dir, 0, cfg).unwrap();
+        let mut sink = StreamSink::create(dir, 0, cfg).unwrap();
         for i in 0..8 {
             sink.emit(ev(i));
         }
@@ -571,7 +599,7 @@ mod tests {
         assert_eq!(stats.trace_events, 8);
         assert_eq!(stats.trace_shards, 2);
         assert_eq!(stats.dropped_shards, 2);
-        let files = shard_files(&dir, "trace").unwrap();
+        let files = shard_files(dir, "trace").unwrap();
         let names: Vec<String> = files
             .iter()
             .map(|p| p.file_name().unwrap().to_string_lossy().into_owned())
@@ -582,38 +610,41 @@ mod tests {
 
     #[test]
     fn empty_run_finalizes_without_lane_files() {
-        let dir = tmp_dir("empty");
-        let mut sink = StreamSink::create(&dir, 1000, StreamConfig::default()).unwrap();
+        let tmp = TempDir::new("empty");
+        let dir = tmp.path();
+        let mut sink = StreamSink::create(dir, 1000, StreamConfig::default()).unwrap();
         let stats = sink.finish().unwrap();
         assert_eq!(stats, StreamStats::default());
-        assert!(shard_files(&dir, "trace").unwrap().is_empty());
-        assert!(shard_files(&dir, "metrics").unwrap().is_empty());
+        assert!(shard_files(dir, "trace").unwrap().is_empty());
+        assert!(shard_files(dir, "metrics").unwrap().is_empty());
         assert!(dir.join("stream.done").is_file());
     }
 
     #[test]
     fn drop_without_finish_loses_no_lines() {
-        let dir = tmp_dir("drop");
+        let tmp = TempDir::new("drop");
+        let dir = tmp.path();
         {
-            let mut sink = StreamSink::create(&dir, 0, StreamConfig::default()).unwrap();
+            let mut sink = StreamSink::create(dir, 0, StreamConfig::default()).unwrap();
             for i in 0..5 {
                 sink.emit(ev(i));
             }
             // No finish(): Drop must flush the buffered lines.
         }
-        let text = read_concat_shards(&dir, "trace").unwrap();
+        let text = read_concat_shards(dir, "trace").unwrap();
         assert_eq!(text.lines().count(), 5);
         assert!(!dir.join("stream.done").is_file(), "Drop writes no marker");
     }
 
     #[test]
     fn concat_matches_recorder_batch_export() {
-        let dir = tmp_dir("equiv");
+        let tmp = TempDir::new("equiv");
+        let dir = tmp.path();
         let cfg = StreamConfig {
             shard_max_events: 3,
             ..StreamConfig::default()
         };
-        let mut stream = StreamSink::create(&dir, 1000, cfg)
+        let mut stream = StreamSink::create(dir, 1000, cfg)
             .unwrap()
             .with_run_id("unit@1");
         let mut rec = Recorder::new(1000).with_run_id("unit@1");
@@ -628,25 +659,23 @@ mod tests {
             rec.advance_sampler();
         }
         stream.finish().unwrap();
+        assert_eq!(read_concat_shards(dir, "trace").unwrap(), rec.trace_jsonl());
         assert_eq!(
-            read_concat_shards(&dir, "trace").unwrap(),
-            rec.trace_jsonl()
-        );
-        assert_eq!(
-            read_concat_shards(&dir, "metrics").unwrap(),
+            read_concat_shards(dir, "metrics").unwrap(),
             rec.metrics_jsonl()
         );
     }
 
     #[test]
     fn tail_follows_across_rotations() {
-        let dir = tmp_dir("tail");
+        let tmp = TempDir::new("tail");
+        let dir = tmp.path();
         let cfg = StreamConfig {
             shard_max_events: 2,
             ..StreamConfig::default()
         };
-        let mut sink = StreamSink::create(&dir, 1000, cfg).unwrap();
-        let mut tail = TailFollower::new(&dir, "metrics");
+        let mut sink = StreamSink::create(dir, 1000, cfg).unwrap();
+        let mut tail = TailFollower::new(dir, "metrics");
         assert!(tail.poll().unwrap().is_empty());
         assert!(!tail.done());
         for i in 0..5 {
@@ -665,12 +694,14 @@ mod tests {
 
     #[test]
     fn sampler_contract_matches_recorder() {
-        let sink = StreamSink::create(tmp_dir("sampler"), 500, StreamConfig::default()).unwrap();
+        let tmp = TempDir::new("sampler");
+        let sink = StreamSink::create(tmp.path(), 500, StreamConfig::default()).unwrap();
         assert_eq!(sink.next_sample_us(), 500);
         let mut sink = sink;
         sink.advance_sampler();
         assert_eq!(sink.next_sample_us(), 1000);
-        let parked = StreamSink::create(tmp_dir("parked"), 0, StreamConfig::default()).unwrap();
+        let tmp = TempDir::new("parked");
+        let parked = StreamSink::create(tmp.path(), 0, StreamConfig::default()).unwrap();
         assert_eq!(parked.next_sample_us(), u64::MAX);
     }
 }

@@ -3,7 +3,7 @@
 //! A checkpoint is a single JSON document:
 //!
 //! ```json
-//! {"schema":"parvad/checkpoint/v2","checksum":1234567890,"state":{…}}
+//! {"schema":"parvad/checkpoint/v3","checksum":1234567890,"state":{…}}
 //! ```
 //!
 //! `state` is the full serialized [`crate::Daemon`]; `checksum` is FNV-1a
@@ -22,10 +22,12 @@
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
-/// Schema tag of the current checkpoint format. `v2`: the daemon's serving
-/// state is the one serving engine (calendar queue, request table), not
-/// the `v1` stream-only engine; `v1` checkpoints are refused by tag.
-pub const SCHEMA: &str = "parvad/checkpoint/v2";
+/// Schema tag of the current checkpoint format. `v3`: recovery is priced
+/// by the fleet's migration model, so the autoscaler policy no longer
+/// carries its own recovery constants. `v2` (the same engine state with
+/// those policy fields) and `v1` (the stream-only engine) are refused by
+/// tag.
+pub const SCHEMA: &str = "parvad/checkpoint/v3";
 
 /// FNV-1a, 64-bit — tiny, dependency-free, deterministic.
 #[must_use]
@@ -157,22 +159,46 @@ mod tests {
     }
 
     #[test]
-    fn v1_daemon_checkpoint_is_refused_by_schema_not_by_field() {
-        // A v1 envelope around a v1-shaped daemon state (its stream engine
-        // kept a heap `queue`): its checksum is valid and its fields would
-        // not decode, but the schema tag must refuse it first.
-        let state = Value::Map(vec![(
-            "engine".to_string(),
-            Value::Map(vec![(
-                "queue".to_string(),
-                Value::Map(vec![("entries".to_string(), Value::Seq(Vec::new()))]),
-            )]),
-        )]);
+    fn v2_daemon_checkpoint_is_refused_by_schema_not_by_field() {
+        // A v2 envelope around a v2-shaped daemon state (its policy carried
+        // recovery constants): its checksum is valid and its fields would
+        // decode, but the schema tag must refuse it.
+        use parva_perf::Model;
+        let specs = [parva_deploy::ServiceSpec::new(
+            1,
+            Model::ResNet50,
+            400.0,
+            40.0,
+        )];
+        let daemon = crate::Daemon::new(
+            &specs,
+            parva_serve::ArrivalProcess::Poisson,
+            11,
+            500_000,
+            crate::AutoscalePolicy::default(),
+        )
+        .unwrap();
+        let mut state = daemon.to_value();
+        let Value::Map(fields) = &mut state else {
+            panic!("daemon state is a map")
+        };
+        let (_, Value::Map(policy)) = fields.iter_mut().find(|(k, _)| k == "policy").unwrap()
+        else {
+            panic!("policy is a map")
+        };
+        for (k, v) in [
+            ("control_plane_ms", 50.0),
+            ("reflash_ms", 400.0),
+            ("link_gib_per_s", 16.0),
+            ("copy_gib", 1.0),
+        ] {
+            policy.push((k.to_string(), Value::Float(v)));
+        }
         let checksum = fnv1a64(serde_json::to_string(&state).unwrap().as_bytes());
         let doc = Value::Map(vec![
             (
                 "schema".to_string(),
-                Value::Str("parvad/checkpoint/v1".to_string()),
+                Value::Str("parvad/checkpoint/v2".to_string()),
             ),
             ("checksum".to_string(), Value::UInt(checksum)),
             ("state".to_string(), state),
@@ -180,10 +206,11 @@ mod tests {
         let text = serde_json::to_string_pretty(&doc).unwrap();
         let err = decode_checkpoint::<crate::Daemon>(&text).unwrap_err();
         assert!(
-            err.contains("unsupported checkpoint schema \"parvad/checkpoint/v1\""),
+            err.contains("unsupported checkpoint schema \"parvad/checkpoint/v2\""),
             "{err}"
         );
-        assert!(!err.contains("does not decode"), "{err}");
+        let current = text.replace("parvad/checkpoint/v2", SCHEMA);
+        assert!(decode_checkpoint::<crate::Daemon>(&current).is_ok());
     }
 
     #[test]

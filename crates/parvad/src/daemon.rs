@@ -13,7 +13,13 @@
 //! | `POST /submit`     | [`crate::PodSpec`] JSON              | admit a pod, `{"id":n}` |
 //! | `POST /scale`      | `{"service":n,"multiplier":x}`       | inject true demand |
 //! | `POST /drain`      | —                                    | stop admissions, exit after the epoch |
-//! | `POST /checkpoint` | `{"path":"…"}`                       | write a checkpoint now |
+//! | `POST /checkpoint` | `{"path":"<file name>"}`             | write a checkpoint into `--out` now |
+//!
+//! Each request must arrive whole within two seconds (408 otherwise), so
+//! a slow client cannot hold the epoch loop for longer. `POST /checkpoint`
+//! takes a bare file name and writes it inside the `--out` directory: any
+//! other path is refused with 400, and a daemon without `--out` refuses
+//! with 409.
 //!
 //! Artifacts under `--out`: `gauges.jsonl` (appended per epoch — the
 //! byte-gate stream), `report.json` and `status.json` (written at exit),
@@ -27,7 +33,8 @@ use parva_obs::{Row, StreamConfig, StreamSink, TraceEvent, TraceSink};
 use serde::Deserialize;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 /// How to run the daemon loop.
 #[derive(Debug, Clone, Default)]
@@ -152,7 +159,7 @@ pub fn run_daemon(daemon: &mut Daemon, opts: &DaemonOpts) -> Result<DaemonOutcom
     let mut drained = false;
     loop {
         if let Some(l) = &listener {
-            poll_control(l, daemon);
+            poll_control(l, daemon, opts.out_dir.as_deref());
         }
         if daemon.draining() {
             drained = true;
@@ -224,11 +231,12 @@ pub fn run_daemon(daemon: &mut Daemon, opts: &DaemonOpts) -> Result<DaemonOutcom
     })
 }
 
-/// Handle every connection currently pending on the listener.
-fn poll_control(listener: &TcpListener, daemon: &mut Daemon) {
+/// Handle every connection currently pending on the listener;
+/// checkpoints requested over the socket go into `out_dir`.
+fn poll_control(listener: &TcpListener, daemon: &mut Daemon, out_dir: Option<&Path>) {
     loop {
         match listener.accept() {
-            Ok((stream, _)) => handle_connection(stream, daemon),
+            Ok((stream, _)) => handle_connection(stream, daemon, out_dir),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
             Err(_) => return,
         }
@@ -241,12 +249,16 @@ fn poll_control(listener: &TcpListener, daemon: &mut Daemon) {
 /// no client can grow the daemon's memory.
 const MAX_BODY_BYTES: usize = 16 * 1024;
 
-fn handle_connection(mut stream: TcpStream, daemon: &mut Daemon) {
+/// Time a client has to deliver one whole request, headers and body. The
+/// epoch loop waits for at most this long per connection, however slowly
+/// the bytes trickle in.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
+fn handle_connection(mut stream: TcpStream, daemon: &mut Daemon, out_dir: Option<&Path>) {
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(2)));
-    match read_request(&mut stream) {
+    match read_request(&mut stream, Instant::now() + REQUEST_DEADLINE) {
         Ok((method, path, body)) => {
-            let (code, reply) = dispatch(daemon, &method, &path, &body);
+            let (code, reply) = dispatch(daemon, out_dir, &method, &path, &body);
             respond(&mut stream, code, &reply);
         }
         Err(RequestError::TooLarge) => {
@@ -255,6 +267,13 @@ fn handle_connection(mut stream: TcpStream, daemon: &mut Daemon) {
         Err(RequestError::Malformed) => {
             respond(&mut stream, 400, "{\"error\":\"malformed request\"}");
         }
+        Err(RequestError::Timeout) => {
+            respond(
+                &mut stream,
+                408,
+                "{\"error\":\"request not received in time\"}",
+            );
+        }
     }
 }
 
@@ -262,9 +281,26 @@ fn handle_connection(mut stream: TcpStream, daemon: &mut Daemon) {
 enum RequestError {
     Malformed,
     TooLarge,
+    Timeout,
 }
 
-fn dispatch(daemon: &mut Daemon, method: &str, path: &str, body: &str) -> (u16, String) {
+/// Where `POST /checkpoint` may write `name`: a bare file name, inside
+/// the daemon's `--out` directory.
+fn checkpoint_target(out_dir: Option<&Path>, name: &str) -> Result<PathBuf, (u16, &'static str)> {
+    if name.is_empty() || name.contains(['/', '\\', '\0']) || name.contains("..") {
+        return Err((400, "checkpoint path must be a bare file name"));
+    }
+    let dir = out_dir.ok_or((409, "the daemon has no --out directory to checkpoint into"))?;
+    Ok(dir.join(name))
+}
+
+fn dispatch(
+    daemon: &mut Daemon,
+    out_dir: Option<&Path>,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> (u16, String) {
     let err = |code: u16, msg: &str| (code, format!("{{\"error\":{}}}", quote_json(msg)));
     match (method, path) {
         ("GET", "/status") => match serde_json::to_string(&daemon.status()) {
@@ -294,12 +330,18 @@ fn dispatch(daemon: &mut Daemon, method: &str, path: &str, body: &str) -> (u16, 
             (200, "{\"ok\":true,\"draining\":true}".to_string())
         }
         ("POST", "/checkpoint") => match serde_json::from_str::<CheckpointRequest>(body) {
-            Ok(req) => match checkpoint::save_checkpoint(daemon, std::path::Path::new(&req.path)) {
-                Ok(()) => (
-                    200,
-                    format!("{{\"ok\":true,\"path\":{}}}", quote_json(&req.path)),
-                ),
-                Err(e) => err(500, &e),
+            Ok(req) => match checkpoint_target(out_dir, &req.path) {
+                Ok(target) => match checkpoint::save_checkpoint(daemon, &target) {
+                    Ok(()) => (
+                        200,
+                        format!(
+                            "{{\"ok\":true,\"path\":{}}}",
+                            quote_json(&target.display().to_string())
+                        ),
+                    ),
+                    Err(e) => err(500, &e),
+                },
+                Err((code, msg)) => err(code, msg),
             },
             Err(e) => err(400, &format!("bad checkpoint request: {e}")),
         },
@@ -311,13 +353,33 @@ fn quote_json(s: &str) -> String {
     serde_json::to_string(&s).unwrap_or_else(|_| "\"?\"".to_string())
 }
 
-fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), RequestError> {
+/// Read into `chunk` with whatever time is left before `deadline`.
+fn read_until(
+    stream: &mut TcpStream,
+    chunk: &mut [u8],
+    deadline: Instant,
+) -> Result<usize, RequestError> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(RequestError::Timeout);
+    }
+    stream
+        .set_read_timeout(Some(left))
+        .map_err(|_| RequestError::Malformed)?;
+    stream.read(chunk).map_err(|e| match e.kind() {
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => RequestError::Timeout,
+        _ => RequestError::Malformed,
+    })
+}
+
+fn read_request(
+    stream: &mut TcpStream,
+    deadline: Instant,
+) -> Result<(String, String, String), RequestError> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     let header_end = loop {
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|_| RequestError::Malformed)?;
+        let n = read_until(stream, &mut chunk, deadline)?;
         if n == 0 {
             return Err(RequestError::Malformed);
         }
@@ -350,9 +412,7 @@ fn read_request(stream: &mut TcpStream) -> Result<(String, String, String), Requ
     let content_length = content_length as usize;
     let mut body = buf[header_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|_| RequestError::Malformed)?;
+        let n = read_until(stream, &mut chunk, deadline)?;
         if n == 0 {
             break;
         }
@@ -371,6 +431,7 @@ fn respond(stream: &mut TcpStream, code: u16, body: &str) {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
+        408 => "Request Timeout",
         409 => "Conflict",
         413 => "Payload Too Large",
         _ => "Internal Server Error",
@@ -428,6 +489,31 @@ mod tests {
     use parva_perf::Model;
     use parva_serve::ArrivalProcess;
 
+    /// A scratch directory owned by one test and removed when dropped; the
+    /// name carries the process id and a counter, so concurrent test
+    /// processes never share one.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(label: &str) -> Self {
+            use std::sync::atomic::{AtomicU64, Ordering};
+            static NEXT: AtomicU64 = AtomicU64::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let path = std::env::temp_dir()
+                .join(format!("parvad-test-{label}-{}-{n}", std::process::id()));
+            // Left over by an earlier process that had the same pid and died.
+            let _ = std::fs::remove_dir_all(&path);
+            std::fs::create_dir_all(&path).unwrap();
+            TempDir(path)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     fn boot() -> Daemon {
         let specs = vec![
             ServiceSpec::new(1, Model::ResNet50, 400.0, 40.0),
@@ -445,8 +531,8 @@ mod tests {
 
     #[test]
     fn headless_run_writes_artifacts() {
-        let dir = std::env::temp_dir().join("parvad-test-headless");
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = TempDir::new("headless");
+        let dir = tmp.0.join("out");
         let mut daemon = boot();
         let outcome = run_daemon(
             &mut daemon,
@@ -469,13 +555,12 @@ mod tests {
         );
         assert!(dir.join("report.json").exists());
         assert!(dir.join("status.json").exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn halt_and_resume_reproduces_the_uninterrupted_byte_stream() {
-        let base = std::env::temp_dir().join("parvad-test-resume");
-        let _ = std::fs::remove_dir_all(&base);
+        let tmp = TempDir::new("resume");
+        let base = &tmp.0;
         let control_dir = base.join("control");
         let resumed_dir = base.join("resumed");
         let ckpt = base.join("ckpt.json");
@@ -524,31 +609,46 @@ mod tests {
             let b = std::fs::read_to_string(resumed_dir.join(artifact)).unwrap();
             assert_eq!(a, b, "{artifact} diverged across suspend/resume");
         }
-        let _ = std::fs::remove_dir_all(&base);
     }
 
-    #[test]
-    fn oversized_body_is_refused_and_the_daemon_keeps_stepping() {
-        use std::sync::mpsc;
-        let (tx, rx) = mpsc::channel();
+    /// Serve `boot()` on a fresh socket, polling between epochs until a
+    /// drain arrives. Returns the address and the server thread.
+    fn serve() -> (String, std::thread::JoinHandle<Daemon>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
         let server = std::thread::spawn(move || {
             let mut daemon = boot();
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.set_nonblocking(true).unwrap();
-            tx.send(listener.local_addr().unwrap().to_string()).unwrap();
             while !daemon.draining() {
-                poll_control(&listener, &mut daemon);
+                poll_control(&listener, &mut daemon, None);
                 daemon.step(&mut parva_obs::NullSink);
             }
             daemon
         });
-        let addr = rx.recv().unwrap();
-        let epoch_of = |body: &str| {
-            serde_json::from_str::<crate::DaemonStatus>(body)
-                .unwrap()
-                .epoch
-        };
-        let (_, before) = http_request(&addr, "GET", "/status", None).unwrap();
+        (addr, server)
+    }
+
+    fn epoch_at(addr: &str) -> u64 {
+        let (code, body) = http_request(addr, "GET", "/status", None).unwrap();
+        assert_eq!(code, 200, "{body}");
+        serde_json::from_str::<crate::DaemonStatus>(&body)
+            .unwrap()
+            .epoch
+    }
+
+    /// The daemon steps past `epoch` within a few seconds.
+    fn assert_advances_past(addr: &str, epoch: u64) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while epoch_at(addr) <= epoch {
+            assert!(Instant::now() < give_up, "daemon stopped stepping");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn oversized_body_is_refused_and_the_daemon_keeps_stepping() {
+        let (addr, server) = serve();
+        let before = epoch_at(&addr);
 
         // Declare a 10 GB body and send none of it: the daemon must answer
         // 413 from the headers alone, without waiting for or buffering it.
@@ -566,35 +666,87 @@ mod tests {
         assert!(raw.starts_with("HTTP/1.1 413 "), "{raw}");
         assert!(raw.contains("too large"), "{raw}");
 
-        let (code, after) = http_request(&addr, "GET", "/status", None).unwrap();
-        assert_eq!(code, 200, "{after}");
-        assert!(
-            epoch_of(&after) > epoch_of(&before),
-            "daemon stopped stepping"
-        );
+        assert_advances_past(&addr, before);
         let (code, _) = http_request(&addr, "POST", "/drain", None).unwrap();
         assert_eq!(code, 200);
         assert!(server.join().unwrap().draining());
     }
 
     #[test]
-    fn control_socket_serves_the_full_lifecycle() {
-        use std::sync::mpsc;
-        let (tx, rx) = mpsc::channel();
-        let server = std::thread::spawn(move || {
-            let mut daemon = boot();
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            listener.set_nonblocking(true).unwrap();
-            tx.send(listener.local_addr().unwrap().to_string()).unwrap();
-            // Serve requests until a drain arrives, stepping in between so
-            // submitted pods actually receive traffic.
-            while !daemon.draining() {
-                poll_control(&listener, &mut daemon);
-                daemon.step(&mut parva_obs::NullSink);
+    fn trickling_client_is_cut_off_at_the_deadline() {
+        let (addr, server) = serve();
+        let before = epoch_at(&addr);
+
+        // Send one header byte every 100 ms and never finish: each read
+        // gets a byte well inside any per-read timeout, but the request as
+        // a whole must be cut off at the deadline.
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let mut reader = stream.try_clone().unwrap();
+        reader
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let start = Instant::now();
+        let trickle = std::thread::spawn(move || {
+            for &b in b"GET /status HTTP/1.1\r\nX-Slow: ".iter().cycle() {
+                if stream.write_all(&[b]).is_err() || start.elapsed() > Duration::from_secs(10) {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(100));
             }
-            daemon
         });
-        let addr = rx.recv().unwrap();
+        // The daemon may reset the connection after answering, because the
+        // client is still sending: keep whatever arrived before that.
+        let mut raw = Vec::new();
+        let _ = reader.read_to_end(&mut raw);
+        let cut_off = start.elapsed();
+        trickle.join().unwrap();
+        let raw = String::from_utf8_lossy(&raw);
+        assert!(raw.starts_with("HTTP/1.1 408 "), "{raw}");
+        assert!(
+            cut_off >= REQUEST_DEADLINE && cut_off < REQUEST_DEADLINE + Duration::from_secs(1),
+            "cut off after {cut_off:?}"
+        );
+
+        assert_advances_past(&addr, before);
+        let (code, _) = http_request(&addr, "POST", "/drain", None).unwrap();
+        assert_eq!(code, 200);
+        assert!(server.join().unwrap().draining());
+    }
+
+    #[test]
+    fn checkpoints_are_confined_to_the_out_dir() {
+        let tmp = TempDir::new("confine");
+        let out = tmp.0.join("out");
+        std::fs::create_dir_all(&out).unwrap();
+        let outside = tmp.0.join("escape.json");
+        let mut daemon = boot();
+        let mut post = |out_dir: Option<&Path>, path: &str| {
+            let body = format!("{{\"path\":{}}}", quote_json(path));
+            dispatch(&mut daemon, out_dir, "POST", "/checkpoint", &body).0
+        };
+        for escaping in [
+            "../escape.json",
+            outside.to_str().unwrap(),
+            "sub/escape.json",
+            "..",
+            "",
+        ] {
+            assert_eq!(post(Some(&out), escaping), 400, "{escaping:?}");
+        }
+        assert!(!outside.exists(), "an escaping path wrote a file");
+        assert_eq!(std::fs::read_dir(&out).unwrap().count(), 0);
+
+        assert_eq!(post(None, "live.ckpt.json"), 409);
+        assert_eq!(post(Some(&out), "live.ckpt.json"), 200);
+        let resumed: Daemon = checkpoint::load_checkpoint(&out.join("live.ckpt.json")).unwrap();
+        assert_eq!(resumed.epoch(), 0);
+    }
+
+    #[test]
+    fn control_socket_serves_the_full_lifecycle() {
+        // Served until a drain arrives, stepping in between so submitted
+        // pods actually receive traffic.
+        let (addr, server) = serve();
 
         let (code, body) = http_request(&addr, "GET", "/status", None).unwrap();
         assert_eq!(code, 200, "{body}");

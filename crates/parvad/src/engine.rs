@@ -17,16 +17,18 @@
 //!    into target rates, skip services within the hysteresis band, re-plan
 //!    the rest through the paper's §III-F incremental path
 //!    ([`parva_core::reconfigure::update_service`]), and actuate through
-//!    the measured-recovery path — re-sliced GPUs go dark for a real
-//!    reflash + weight-copy latency before serving again.
+//!    the fleet's migration model ([`parva_fleet::migration`]): a GPU
+//!    whose MIG layout changed goes dark for a re-flash, and one that
+//!    gains segments for their weight copy, before serving again.
 
 use crate::pod::PodSpec;
 use parva_autoscale::DemandEstimator;
 use parva_core::{reconfigure, ParvaGpu, Service};
-use parva_deploy::{Deployment, MigDeployment, ServiceSpec};
+use parva_deploy::{physical_diff, Deployment, MigDeployment, ServiceSpec};
+use parva_fleet::migration::{recovery_ops, recovery_spec_from_ops};
 use parva_obs::{Row, TraceSink};
 use parva_profile::ProfileBook;
-use parva_serve::{ArrivalProcess, IngressClass, RecoveryOp, RecoverySpec, StreamEngine};
+use parva_serve::{ArrivalProcess, IngressClass, RecoverySpec, StreamEngine};
 use serde::{Deserialize, Serialize};
 
 /// Closed-loop autoscaler policy knobs.
@@ -41,14 +43,6 @@ pub struct AutoscalePolicy {
     /// Relative rate change (vs the last plan) below which a service is
     /// left alone — the anti-flapping band.
     pub hysteresis: f64,
-    /// Control-plane reaction delay before physical work starts, ms.
-    pub control_plane_ms: f64,
-    /// One MIG re-flash on a churned GPU, ms.
-    pub reflash_ms: f64,
-    /// Host-to-device weight-copy bandwidth per node, GiB/s.
-    pub link_gib_per_s: f64,
-    /// Model weights copied onto each churned GPU, GiB.
-    pub copy_gib: f64,
 }
 
 impl Default for AutoscalePolicy {
@@ -58,10 +52,6 @@ impl Default for AutoscalePolicy {
             window: 4,
             headroom: 1.1,
             hysteresis: 0.15,
-            control_plane_ms: 50.0,
-            reflash_ms: 400.0,
-            link_gib_per_s: 16.0,
-            copy_gib: 1.0,
         }
     }
 }
@@ -254,7 +244,8 @@ impl Daemon {
         self.decisions += 1;
         let demand = self.estimator.demand_specs(&self.base);
         let scheduler = Self::scheduler();
-        let mut churned: Vec<usize> = Vec::new();
+        // The deployment this decision started from, once it changes.
+        let mut before: Option<MigDeployment> = None;
         let mut applied: u64 = 0;
         let mut infeasible: u64 = 0;
         for (i, d) in demand.iter().enumerate() {
@@ -265,7 +256,8 @@ impl Daemon {
             }
             match reconfigure::update_service(&scheduler, &self.deployment, &self.services, *d) {
                 Ok(out) => {
-                    self.deployment = out.deployment;
+                    let prev = std::mem::replace(&mut self.deployment, out.deployment);
+                    before.get_or_insert(prev);
                     let slot = self
                         .services
                         .iter_mut()
@@ -273,7 +265,6 @@ impl Daemon {
                         .expect("planned service exists");
                     *slot = out.service;
                     self.planned[i] = *d;
-                    churned.extend(out.reconfigured_gpus);
                     applied += 1;
                 }
                 Err(_) => {
@@ -283,18 +274,10 @@ impl Daemon {
                 }
             }
         }
-        churned.sort_unstable();
-        churned.dedup();
-        if applied > 0 {
+        let mut churned = 0;
+        if let Some(before) = before {
             self.reconfigs += applied;
-            self.churned_gpus += churned.len() as u64;
-            let recovery = self.recovery_for(&churned);
-            self.engine.reconfigure(
-                Deployment::Mig(self.deployment.clone()),
-                self.planned.clone(),
-                recovery.as_ref(),
-                sink,
-            );
+            churned = self.actuate(&before, sink);
         }
         sink.sample(
             Row::new()
@@ -303,34 +286,24 @@ impl Daemon {
                 .u64("decision", self.decisions)
                 .u64("applied", applied)
                 .u64("infeasible", infeasible)
-                .u64("churned_gpus", churned.len() as u64)
+                .u64("churned_gpus", churned)
                 .u64("gpus", self.deployment.gpu_count() as u64),
         );
     }
 
-    /// Lower churned-GPU indices to a measured-recovery plan: each
-    /// re-sliced GPU pays the control-plane delay, a MIG re-flash
-    /// (serialized per 8-GPU node) and a weight copy before serving again.
-    fn recovery_for(&self, churned: &[usize]) -> Option<RecoverySpec> {
-        if churned.is_empty() {
-            return None;
-        }
-        Some(RecoverySpec {
-            start_ms: 0.0,
-            control_plane_ms: self.policy.control_plane_ms,
-            reflash_ms: self.policy.reflash_ms,
-            link_gib_per_s: self.policy.link_gib_per_s,
-            ops: churned
-                .iter()
-                .map(|&g| RecoveryOp {
-                    node: g / 8,
-                    logical_gpu: Some(g),
-                    reflash: true,
-                    copy_gib: self.policy.copy_gib,
-                    prepared: false,
-                })
-                .collect(),
-        })
+    /// Serve the live deployment, replacing `before`, through measured
+    /// recovery. Returns the GPUs changed.
+    fn actuate<S: TraceSink>(&mut self, before: &MigDeployment, sink: &mut S) -> u64 {
+        let recovery = recovery_for(before, &self.deployment);
+        let churned = recovery.as_ref().map_or(0, |r| r.ops.len() as u64);
+        self.churned_gpus += churned;
+        self.engine.reconfigure(
+            Deployment::Mig(self.deployment.clone()),
+            self.planned.clone(),
+            recovery.as_ref(),
+            sink,
+        );
+        churned
     }
 
     /// Admit a pod: validate, plan it incrementally into the live
@@ -352,7 +325,7 @@ impl Daemon {
         let out =
             reconfigure::update_service(&Self::scheduler(), &self.deployment, &self.services, spec)
                 .map_err(|e| format!("admission failed: {e}"))?;
-        self.deployment = out.deployment;
+        let before = std::mem::replace(&mut self.deployment, out.deployment);
         self.services.push(out.service);
         self.base.push(spec);
         self.planned.push(spec);
@@ -360,18 +333,8 @@ impl Daemon {
         self.multipliers.push(1.0);
         self.pods.push(pod.clone());
         self.next_id = id + 1;
-        let mut churned = out.reconfigured_gpus;
-        churned.sort_unstable();
-        churned.dedup();
         self.reconfigs += 1;
-        self.churned_gpus += churned.len() as u64;
-        let recovery = self.recovery_for(&churned);
-        self.engine.reconfigure(
-            Deployment::Mig(self.deployment.clone()),
-            self.planned.clone(),
-            recovery.as_ref(),
-            sink,
-        );
+        self.actuate(&before, sink);
         Ok(id)
     }
 
@@ -457,6 +420,16 @@ impl Daemon {
     }
 }
 
+/// Price replacing `before` with `after` through the fleet's migration
+/// model on 8-GPU nodes: a GPU whose MIG layout changed re-flashes, and
+/// each segment new on a GPU copies its model's weights there. `None` when
+/// no GPU changes.
+fn recovery_for(before: &MigDeployment, after: &MigDeployment) -> Option<RecoverySpec> {
+    let diff = physical_diff(before, Some, after, Some);
+    let ops = recovery_ops(&diff, |g| g / 8, |_| true);
+    (!ops.is_empty()).then(|| recovery_spec_from_ops(ops, 0.0))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,6 +499,31 @@ mod tests {
         assert_eq!(bert.name, "bert-qa");
         assert!(bert.replicas > 0);
         assert!(bert.offered > 0, "admitted pod must receive traffic");
+    }
+
+    #[test]
+    fn admission_copies_each_new_segment_s_model_weights() {
+        let mut d = boot(AutoscalePolicy::default());
+        let before = d.deployment.clone();
+        let pod = PodSpec::new("bert-qa", Model::BertLarge, 130.0, 80.0);
+        let id = d.submit(&pod, &mut NullSink).unwrap();
+        let recovery = recovery_for(&before, &d.deployment).expect("admission changes a GPU");
+        let bert = parva_perf::PerfParams::for_model(Model::BertLarge).weights_gib;
+        assert_ne!(bert, 1.0);
+        for op in &recovery.ops {
+            let g = op.logical_gpu.expect("admission vacates no GPU");
+            let new_bert = d
+                .deployment
+                .segments_on(g)
+                .filter(|ps| ps.segment.service_id == id);
+            assert_eq!(op.copy_gib, new_bert.count() as f64 * bert, "GPU {g}");
+        }
+        let copied: f64 = recovery.ops.iter().map(|o| o.copy_gib).sum();
+        assert_eq!(copied, d.deployment.segments_of(id).count() as f64 * bert);
+        assert_eq!(
+            recovery.control_plane_ms,
+            parva_fleet::migration::CONTROL_PLANE_MS
+        );
     }
 
     #[test]

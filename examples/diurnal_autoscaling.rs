@@ -1,58 +1,89 @@
 //! Autoscaling under a diurnal load curve: the paper's runtime story
-//! (§III-F) end to end. Rates swing over a simulated day; at each epoch the
-//! deployment is updated *incrementally* through ParvaGPU's reconfiguration
-//! path, and we watch fleet size, SLO compliance and reconfiguration churn.
+//! (§III-F) end to end. The `parvad` daemon serves a catalogue while the
+//! true demand swings over a simulated day; its autoscaler only sees the
+//! observed arrivals, re-plans drifting services incrementally, and pays
+//! measured recovery for every GPU it re-slices. We watch fleet size, SLO
+//! attainment and reconfiguration churn hour by hour.
 //!
 //! Run: `cargo run --release --example diurnal_autoscaling`
 
+use parvagpu::obs::NullSink;
 use parvagpu::prelude::*;
+use parvagpu::scenarios::diurnal_multiplier;
+
+/// Simulated length of one epoch, µs; each epoch stands for one hour.
+const EPOCH_US: u64 = 30_000_000;
+const HOURS: u64 = 24;
+
+/// Share of completed requests within their SLO (1.0 when idle).
+fn attainment(completed: u64, within: u64) -> f64 {
+    if completed == 0 {
+        1.0
+    } else {
+        within as f64 / completed as f64
+    }
+}
 
 fn main() {
-    let profiles = ProfileBook::builtin();
     // A mid-size catalogue: half of scenario S3's load as the daily mean.
     let base: Vec<ServiceSpec> = Scenario::S3
         .services()
         .into_iter()
         .map(|s| ServiceSpec::new(s.id, s.model, s.request_rate_rps * 0.5, s.slo.latency_ms))
         .collect();
-
-    // 12 epochs ≈ one day in 2-hour steps, load swinging 0.4×–1.8×.
-    let trace = RateTrace::diurnal(12, 0.4, 1.8);
-    let serving = ServingConfig {
-        warmup_s: 1.0,
-        duration_s: 5.0,
-        drain_s: 2.0,
-        seed: 42,
-        ..Default::default()
+    let policy = AutoscalePolicy {
+        decide_every: 1,
+        window: 1,
+        headroom: 1.25,
+        ..AutoscalePolicy::default()
     };
+    let mut daemon =
+        Daemon::new(&base, ArrivalProcess::Poisson, 42, EPOCH_US, policy).expect("feasible");
 
-    println!("running {} epochs of diurnal load …\n", trace.epochs());
-    #[allow(deprecated)] // oracle-fed demo; `parvad` runs the observed-demand loop
-    let report = run_traced(&profiles, &base, &trace, &serving).expect("feasible");
-
+    println!("serving {HOURS} hours of diurnal load (0.4x-1.8x) …\n");
     println!(
-        "{:>6} {:>6} {:>6} {:>9} {:>11} {:>8}",
-        "epoch", "load", "GPUs", "reconfigs", "compliance", "slack"
+        "{:>5} {:>6} {:>5} {:>9} {:>8} {:>11}",
+        "hour", "load", "GPUs", "reconfigs", "churned", "attainment"
     );
-    for e in &report.epochs {
+    let mut peak_gpus = 0;
+    let mut worst = 1.0f64;
+    for hour in 0..HOURS {
+        let load = diurnal_multiplier(hour as f64, 0.4, 1.8, 0.0);
+        daemon.scale_all(load);
+        daemon.step(&mut NullSink);
+        let st = daemon.status();
+        let last = daemon.engine().last_epoch();
+        let hourly = attainment(
+            last.iter().map(|o| o.completed).sum(),
+            last.iter().map(|o| o.within_slo).sum(),
+        );
+        peak_gpus = peak_gpus.max(st.gpus);
+        worst = worst.min(hourly);
         println!(
-            "{:>6} {:>5.2}x {:>6} {:>9} {:>10.2}% {:>7.1}%",
-            e.epoch,
-            e.multiplier,
-            e.gpus,
-            e.reconfigured_gpus,
-            e.compliance * 100.0,
-            e.internal_slack * 100.0
+            "{:>5} {:>5.2}x {:>5} {:>9} {:>8} {:>10.2}%",
+            hour,
+            load,
+            st.gpus,
+            st.reconfigs,
+            st.churned_gpus,
+            hourly * 100.0
         );
     }
+    let st = daemon.status();
+    let report = daemon.report();
+    let overall = attainment(
+        report.services.iter().map(|s| s.completed).sum(),
+        report.services.iter().map(|s| s.within_slo).sum(),
+    );
     println!(
-        "\npeak fleet {} GPUs, worst compliance {:.2}%, total churn {} GPU reconfigurations",
-        report.peak_gpus(),
-        report.min_compliance() * 100.0,
-        report.total_reconfigurations()
+        "\npeak fleet {peak_gpus} GPUs, {} GPU-hours; worst hour {:.2}%, whole day {:.2}%; \
+         {} re-plans re-sliced {} GPUs",
+        daemon.gpu_epochs(),
+        worst * 100.0,
+        overall * 100.0,
+        st.reconfigs,
+        st.churned_gpus
     );
-    assert!(
-        report.min_compliance() > 0.999,
-        "SLOs must hold through the day"
-    );
+    assert!(st.reconfigs > 0, "a 4.5x swing must trigger re-plans");
+    assert!(overall > 0.95, "SLOs must mostly hold through the day");
 }

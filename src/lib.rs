@@ -21,8 +21,6 @@
 //! * [`obs`] — structured observability: request/recovery trace spans
 //!   (Chrome/Perfetto `trace_event` JSON), deterministic time-series
 //!   gauges, and orchestrator self-profiling — zero-cost when disabled
-//! * [`nvml`] — simulated NVML/DCGM layer: instance lifecycle, minimal-diff
-//!   reconfiguration (§III-F), SM-activity telemetry
 //! * [`cluster`] — p4de.24xlarge node packing and cost accounting
 //! * [`fleet`] — heterogeneous multi-node fleet orchestration: failures,
 //!   spot preemption, live migration, event-driven recovery
@@ -57,7 +55,6 @@ pub use parva_des as des;
 pub use parva_fleet as fleet;
 pub use parva_metrics as metrics;
 pub use parva_mig as mig;
-pub use parva_nvml as nvml;
 pub use parva_obs as obs;
 pub use parva_perf as perf;
 pub use parva_profile as profile;
@@ -69,9 +66,7 @@ pub use parvad as daemon;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::scenarios::{ScenarioReport, ScenarioSpec};
-    #[allow(deprecated)] // kept for downstream users until the oracle path is removed
-    pub use parva_autoscale::run_traced;
-    pub use parva_autoscale::{DemandEstimator, RateTrace};
+    pub use parva_autoscale::DemandEstimator;
     pub use parva_baselines::{Gpulet, Gslice, IGniter, MigServing, ParisElsa};
     pub use parva_core::{ParvaGpu, ParvaGpuSingle, ParvaGpuUnoptimized};
     pub use parva_deploy::{Deployment, ScheduleError, Scheduler, ServiceSpec, Slo};
