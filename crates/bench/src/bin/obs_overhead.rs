@@ -6,10 +6,10 @@
 //!
 //! The disabled path is the one under the perf gate: `NullSink` has
 //! `ENABLED = false`, so every instrumentation block monomorphizes away
-//! and `perf_sweep --check` keeps holding its 2x floor. The enabled
-//! ratios recorded here are informational — they price what `--trace`/
-//! `--metrics` (batch) and `--stream` (rotating shards, line-by-line
-//! file I/O) actually cost when someone turns them on.
+//! and `perf_sweep --check` keeps holding its 2x wall-time ceiling. The
+//! enabled ratios recorded here are informational — they price what
+//! `--trace`/`--metrics` (batch) and `--stream` (rotating shards,
+//! line-by-line file I/O) actually cost when someone turns them on.
 //!
 //! Usage: `obs_overhead [--quick] [--out <file>]`
 

@@ -9,17 +9,17 @@
 //!   (memoized sims deliver their cached reports without re-processing
 //!   events, so cache hits lower both `events` and the wall time),
 //! * `events_per_sec` — events divided by the scenario's end-to-end wall
-//!   time: the rate at which the evaluation pipeline turns DES events
-//!   into finished reports. Parallel region fan-out raises it on
-//!   multi-core hosts; memoization is roughly neutral (it removes events
-//!   and their cost together),
+//!   time. Informational only: an engine change that removes cheap events
+//!   (say, duplicate batching deadlines) lowers it even when the run gets
+//!   faster, so it is not what the gate reads,
 //! * `loop_wall_ms` — wall time spent inside event loops, summed across
 //!   threads (under parallel fan-out this exceeds the scenario wall and
 //!   over-counts when threads time-slice one core),
 //! * `loop_cpu_ms` — per-thread CPU time inside event loops
 //!   (`clock_gettime(CLOCK_THREAD_CPUTIME_ID)`): the engine metric that
 //!   stays exact under fan-out; 0 on platforms without the clock,
-//! * `wall_ms` — end-to-end wall time of the whole scenario,
+//! * `wall_ms` — end-to-end wall time of the whole scenario: each
+//!   scenario's work is fixed, so this is the gated metric,
 //! * `peak_queue_depth` — the largest pending-event count any sim reached,
 //! * `cache_hit_rate` — the fleet orchestrator's simulation-cache hit rate
 //!   (identical steady states simulated once per report).
@@ -30,8 +30,9 @@
 //! Usage: `perf_sweep [--quick] [--check <baseline.json>] [--out <file>]`
 //!
 //! `--quick` shrinks repetition counts for CI; `--check` exits non-zero if
-//! any scenario's `events_per_sec` regressed to below half of the given
-//! baseline's (a >2x regression gate).
+//! any scenario's `wall_ms` exceeds twice the given baseline's (a >2x
+//! regression gate). The baseline must have been recorded with the same
+//! `--quick` setting, since only then is the work the same.
 
 use parva_deploy::Scheduler;
 use parva_profile::ProfileBook;
@@ -208,24 +209,32 @@ fn main() {
         let base = std::fs::read_to_string(&baseline_path)
             .unwrap_or_else(|e| panic!("cannot read baseline {baseline_path}: {e}"));
         let base: BenchDoc = serde_json::from_str(&base).expect("valid baseline JSON");
+        if base.quick != doc.quick {
+            eprintln!(
+                "perf_sweep: {baseline_path} was recorded with quick={}, this run has quick={}; \
+                 wall times compare only for the same work",
+                base.quick, doc.quick
+            );
+            std::process::exit(2);
+        }
         let mut failed = false;
         for s in &doc.scenarios {
             if let Some(b) = base.scenario(&s.name) {
-                let floor = b.events_per_sec / 2.0;
-                let ok = s.events_per_sec >= floor;
+                let ceiling = b.wall_ms * 2.0;
+                let ok = s.wall_ms <= ceiling;
                 println!(
-                    "check {:<11} {:>10.0} events/s vs baseline {:>10.0} (floor {:>10.0}): {}",
+                    "check {:<11} {:>8.1} ms wall vs baseline {:>8.1} ms (ceiling {:>8.1} ms): {}",
                     s.name,
-                    s.events_per_sec,
-                    b.events_per_sec,
-                    floor,
+                    s.wall_ms,
+                    b.wall_ms,
+                    ceiling,
                     if ok { "ok" } else { "REGRESSED" }
                 );
                 failed |= !ok;
             }
         }
         if failed {
-            eprintln!("perf_sweep: events/sec regressed >2x against {baseline_path}");
+            eprintln!("perf_sweep: wall time regressed >2x against {baseline_path}");
             std::process::exit(1);
         }
     }

@@ -120,7 +120,7 @@ pub const PERF_ARTIFACTS: &[Artifact] = &[
     Artifact {
         file: "BENCH_des.json",
         title: "DES engine throughput",
-        caption: "events/sec per scenario scale (perf_sweep; gated in CI at 2x).",
+        caption: "events and wall time per scenario scale (perf_sweep; wall gated in CI at 2x).",
     },
     Artifact {
         file: "BENCH_obs.json",

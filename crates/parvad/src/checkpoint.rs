@@ -3,7 +3,7 @@
 //! A checkpoint is a single JSON document:
 //!
 //! ```json
-//! {"schema":"parvad/checkpoint/v3","checksum":1234567890,"state":{…}}
+//! {"schema":"parvad/checkpoint/v4","checksum":1234567890,"state":{…}}
 //! ```
 //!
 //! `state` is the full serialized [`crate::Daemon`]; `checksum` is FNV-1a
@@ -22,12 +22,13 @@
 use serde::{Deserialize, Serialize, Value};
 use std::path::Path;
 
-/// Schema tag of the current checkpoint format. `v3`: recovery is priced
-/// by the fleet's migration model, so the autoscaler policy no longer
-/// carries its own recovery constants. `v2` (the same engine state with
-/// those policy fields) and `v1` (the stream-only engine) are refused by
+/// Schema tag of the current checkpoint format. `v4`: each engine server
+/// records the batching deadline booked for it, so a resumed engine books
+/// exactly the events the suspended one would have. `v3` (the same state
+/// without that field), `v2` (whose autoscaler policy carried its own
+/// recovery constants) and `v1` (the stream-only engine) are refused by
 /// tag.
-pub const SCHEMA: &str = "parvad/checkpoint/v3";
+pub const SCHEMA: &str = "parvad/checkpoint/v4";
 
 /// FNV-1a, 64-bit — tiny, dependency-free, deterministic.
 #[must_use]
@@ -158,11 +159,29 @@ mod tests {
         assert!(err.contains("unsupported checkpoint schema"));
     }
 
+    /// Drop every `key` entry from the maps anywhere under `v`; returns how
+    /// many were dropped.
+    fn strip_key(v: &mut Value, key: &str) -> usize {
+        match v {
+            Value::Map(fields) => {
+                let before = fields.len();
+                fields.retain(|(k, _)| k != key);
+                let own = before - fields.len();
+                own + fields
+                    .iter_mut()
+                    .map(|(_, v)| strip_key(v, key))
+                    .sum::<usize>()
+            }
+            Value::Seq(items) => items.iter_mut().map(|v| strip_key(v, key)).sum(),
+            _ => 0,
+        }
+    }
+
     #[test]
-    fn v2_daemon_checkpoint_is_refused_by_schema_not_by_field() {
-        // A v2 envelope around a v2-shaped daemon state (its policy carried
-        // recovery constants): its checksum is valid and its fields would
-        // decode, but the schema tag must refuse it.
+    fn v3_daemon_checkpoint_is_refused_by_schema_not_by_field() {
+        // A v3 envelope around a v3-shaped daemon state (its servers carry
+        // no booked deadline): its checksum is valid, and the schema tag
+        // must refuse it before any field is interpreted.
         use parva_perf::Model;
         let specs = [parva_deploy::ServiceSpec::new(
             1,
@@ -179,26 +198,12 @@ mod tests {
         )
         .unwrap();
         let mut state = daemon.to_value();
-        let Value::Map(fields) = &mut state else {
-            panic!("daemon state is a map")
-        };
-        let (_, Value::Map(policy)) = fields.iter_mut().find(|(k, _)| k == "policy").unwrap()
-        else {
-            panic!("policy is a map")
-        };
-        for (k, v) in [
-            ("control_plane_ms", 50.0),
-            ("reflash_ms", 400.0),
-            ("link_gib_per_s", 16.0),
-            ("copy_gib", 1.0),
-        ] {
-            policy.push((k.to_string(), Value::Float(v)));
-        }
+        assert!(strip_key(&mut state, "deadline_booked") > 0, "no servers");
         let checksum = fnv1a64(serde_json::to_string(&state).unwrap().as_bytes());
         let doc = Value::Map(vec![
             (
                 "schema".to_string(),
-                Value::Str("parvad/checkpoint/v2".to_string()),
+                Value::Str("parvad/checkpoint/v3".to_string()),
             ),
             ("checksum".to_string(), Value::UInt(checksum)),
             ("state".to_string(), state),
@@ -206,11 +211,13 @@ mod tests {
         let text = serde_json::to_string_pretty(&doc).unwrap();
         let err = decode_checkpoint::<crate::Daemon>(&text).unwrap_err();
         assert!(
-            err.contains("unsupported checkpoint schema \"parvad/checkpoint/v2\""),
+            err.contains("unsupported checkpoint schema \"parvad/checkpoint/v3\""),
             "{err}"
         );
-        let current = text.replace("parvad/checkpoint/v2", SCHEMA);
-        assert!(decode_checkpoint::<crate::Daemon>(&current).is_ok());
+        // Re-tagged, the same state is refused only by the missing field.
+        let current = text.replace("parvad/checkpoint/v3", SCHEMA);
+        let err = decode_checkpoint::<crate::Daemon>(&current).unwrap_err();
+        assert!(err.contains("missing field `deadline_booked`"), "{err}");
     }
 
     #[test]

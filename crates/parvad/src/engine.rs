@@ -30,6 +30,7 @@ use parva_obs::{Row, TraceSink};
 use parva_profile::ProfileBook;
 use parva_serve::{ArrivalProcess, IngressClass, RecoverySpec, StreamEngine};
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Closed-loop autoscaler policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -188,10 +189,11 @@ impl Daemon {
         })
     }
 
-    fn scheduler() -> ParvaGpu {
-        // Pure function of the builtin profile book — reconstructed at each
-        // decision rather than serialized into checkpoints.
-        ParvaGpu::new(&ProfileBook::builtin())
+    fn scheduler() -> &'static ParvaGpu {
+        // Pure function of the builtin profile book: built once per process
+        // rather than serialized into checkpoints.
+        static SCHEDULER: OnceLock<ParvaGpu> = OnceLock::new();
+        SCHEDULER.get_or_init(|| ParvaGpu::new(&ProfileBook::builtin()))
     }
 
     /// Completed epochs.
@@ -254,7 +256,7 @@ impl Daemon {
             if rel <= self.policy.hysteresis {
                 continue;
             }
-            match reconfigure::update_service(&scheduler, &self.deployment, &self.services, *d) {
+            match reconfigure::update_service(scheduler, &self.deployment, &self.services, *d) {
                 Ok(out) => {
                     let prev = std::mem::replace(&mut self.deployment, out.deployment);
                     before.get_or_insert(prev);
@@ -323,7 +325,7 @@ impl Daemon {
         let id = self.next_id;
         let spec = pod.to_service_spec(id)?;
         let out =
-            reconfigure::update_service(&Self::scheduler(), &self.deployment, &self.services, spec)
+            reconfigure::update_service(Self::scheduler(), &self.deployment, &self.services, spec)
                 .map_err(|e| format!("admission failed: {e}"))?;
         let before = std::mem::replace(&mut self.deployment, out.deployment);
         self.services.push(out.service);

@@ -16,8 +16,9 @@
 //! The event loop is allocation-free in steady state: events ride a
 //! [`CalendarQueue`] as packed 128-bit keys, batch membership lives in a
 //! recycled slab instead of per-batch `Vec`s, per-(service, class)
-//! accounting is flat and contiguous, and per-server batch timings are
-//! memoized. Window runs are property-tested to produce byte-identical
+//! accounting is flat and contiguous, per-server batch timings are
+//! memoized, and each server has at most one batching deadline pending
+//! (see `Server::deadline_booked`). Window runs are property-tested to produce byte-identical
 //! reports to the frozen pre-optimization simulator (`crate::reference`,
 //! compiled for tests only).
 
@@ -342,6 +343,21 @@ struct Server {
     busy: u32,
     /// SM-occupancy microseconds accumulated inside the window.
     busy_comp_us: u64,
+    /// Time of the last batching deadline booked for this server
+    /// ([`SimTime::ZERO`]: none); `try_start` books a deadline only when it
+    /// differs. This is exact. Deadlines are only booked for times after
+    /// now, so an equal value names an event that has not popped yet: same
+    /// payload (tag, generation, server), booked earlier, so it pops first.
+    /// A second copy would have had no effect: every handler that adds to
+    /// a queue, frees capacity or lights a GPU ends with `try_start` on
+    /// that server, so the copy found the server settled and only booked
+    /// yet another copy. The one gap is a queue removal that skips
+    /// `try_start` (a timeout pull, or the hedge twin cancelled in
+    /// `launch`) on the deadline's microsecond, between the first copy
+    /// and a later one: the later copy would have re-evaluated the queue
+    /// there. A reconfigure builds new servers, so it resets this field
+    /// along with the generation.
+    deadline_booked: SimTime,
 }
 
 /// One in-flight batch in the recycled slab.
@@ -458,6 +474,7 @@ fn build_fabric(
             queue: VecDeque::new(),
             busy: 0,
             busy_comp_us: 0,
+            deadline_booked: SimTime::ZERO,
         };
         server.batch_timeout = batch_timeout(&specs[service], &server);
         slots[service].push((servers.len() as u32, throughput));
@@ -953,8 +970,10 @@ impl Engine {
                 TAG_ARRIVAL => self.on_arrival(t, a, b, payload, sink),
                 TAG_DONE => self.on_done(t, a, b, sink),
                 TAG_DEADLINE => {
-                    // Stale deadlines (batch already launched) fall through
-                    // harmlessly: try_start re-evaluates the queue state.
+                    // A deadline whose batch already launched (full, or at a
+                    // completion that found the head expired) falls through
+                    // harmlessly: try_start re-evaluates the queue and books
+                    // the new head's deadline unless it is already pending.
                     if a as u64 == self.generation & A_MASK {
                         self.try_start(b, sink);
                     }
@@ -1590,7 +1609,8 @@ impl Engine {
             if self.q.now() >= deadline {
                 let size = (queued as u32).min(full);
                 self.launch(server, size, sink);
-            } else {
+            } else if s.deadline_booked != deadline {
+                self.servers[server].deadline_booked = deadline;
                 self.q.schedule(
                     deadline,
                     ev(TAG_DEADLINE, self.generation & A_MASK, server as u64),
@@ -2787,6 +2807,35 @@ mod tests {
         );
     }
 
+    /// One single-process ResNet-50 MIG server of `profile` and `batch` for
+    /// a service at `rate_rps` under a 400 ms SLO.
+    fn resnet_server(
+        profile: parva_mig::InstanceProfile,
+        batch: u32,
+        rate_rps: f64,
+    ) -> (Deployment, Vec<ServiceSpec>) {
+        use parva_deploy::{MigDeployment, Segment};
+        let point =
+            parva_perf::math::evaluate(Model::ResNet50, ComputeShare::Mig(profile), batch, 1);
+        let mut mig = MigDeployment::new();
+        mig.place_first_fit(Segment {
+            service_id: 0,
+            model: Model::ResNet50,
+            triplet: parva_profile::Triplet::new(profile, batch, 1),
+            throughput_rps: point.throughput_rps,
+            latency_ms: point.latency_ms,
+        });
+        let specs = vec![ServiceSpec::new(0, Model::ResNet50, rate_rps, 400.0)];
+        (Deployment::Mig(mig), specs)
+    }
+
+    /// One 7g server with batch 32 at 100 req/s: about 20 requests arrive
+    /// per batching timeout, so no batch ever fills and every launch waits
+    /// out a deadline.
+    fn partial_batch_fixture() -> (Deployment, Vec<ServiceSpec>) {
+        resnet_server(parva_mig::InstanceProfile::G7, 32, 100.0)
+    }
+
     #[test]
     fn remote_class_deadline_subtracts_network_budget() {
         // A low-rate service whose batches never fill is deadline-
@@ -2796,31 +2845,7 @@ mod tests {
         // them once their *residual* budget expires. Old behavior is
         // exactly a zero-RTT class with the RTT added after the fact, so
         // compare against that.
-        use parva_deploy::{MigDeployment, Segment};
-        use parva_mig::InstanceProfile;
-        use parva_profile::Triplet;
-        let triplet = Triplet::new(InstanceProfile::G2, 8, 1);
-        let point = parva_perf::math::evaluate(
-            parva_perf::Model::ResNet50,
-            parva_perf::ComputeShare::Mig(InstanceProfile::G2),
-            8,
-            1,
-        );
-        let mut mig = MigDeployment::new();
-        mig.place_first_fit(Segment {
-            service_id: 0,
-            model: parva_perf::Model::ResNet50,
-            triplet,
-            throughput_rps: point.throughput_rps,
-            latency_ms: point.latency_ms,
-        });
-        let d = Deployment::Mig(mig);
-        let specs = vec![ServiceSpec::new(
-            0,
-            parva_perf::Model::ResNet50,
-            20.0,
-            400.0,
-        )];
+        let (d, specs) = resnet_server(parva_mig::InstanceProfile::G2, 8, 20.0);
         let rtt = 150.0;
         let charged = vec![vec![
             IngressClass::local(10.0),
@@ -2857,6 +2882,75 @@ mod tests {
         assert!(
             new.classes_of(0)[1].request_compliance_rate()
                 >= old.classes_of(0)[1].request_compliance_rate() - 1e-9
+        );
+    }
+
+    #[test]
+    fn partial_batches_book_one_deadline_per_server() {
+        // Every arrival into a partial queue re-derives the same head
+        // deadline; booking it each time would grow pending events with the
+        // arrivals inside one batch timeout (25 at peak here). One booking
+        // per server bounds the queue by an arrival, a deadline and a
+        // completion per server.
+        let (d, specs) = partial_batch_fixture();
+        let cfg = quick_config();
+        let sim = crate::Simulation::new(&d, &specs).config(&cfg);
+        let end = SimTime::from_secs(cfg.warmup_s + cfg.duration_s);
+        let mut engine = Engine::new(&sim, SimTime::from_secs(cfg.warmup_s), end, 0);
+        engine.run_until(end, &mut parva_obs::NullSink);
+        let (batches, completed) = (engine.batches[0], engine.completed[0]);
+        assert!(batches >= 10, "only {batches} batches");
+        assert!(
+            completed < batches * 32,
+            "{completed} requests in {batches} batches: some batch filled"
+        );
+        let servers = engine.servers.len();
+        let peak = engine.queue().peak_pending();
+        assert!(
+            peak <= 3 * servers,
+            "{peak} events pending at peak for {servers} server(s)"
+        );
+    }
+
+    #[test]
+    fn reconfigure_launches_parked_partial_batches_at_their_deadlines() {
+        // A reconfigure builds servers with no deadline booked: the partial
+        // batch it parks and re-routes must still launch when its head's
+        // batching timeout expires, not wait for the batch to fill.
+        let (d, specs) = partial_batch_fixture();
+        let sim = crate::Simulation::new(&d, &specs).config(&quick_config());
+        let mut engine = Engine::new(&sim, SimTime::ZERO, SimTime(u64::MAX), 1_000);
+        let step =
+            |engine: &mut Engine| engine.run_until(SimTime(u64::MAX), &mut parva_obs::NullSink);
+        // Past warm-up, to a boundary where a partial batch waits on an
+        // idle server (its deadline is then still ahead).
+        while engine.now() < SimTime::from_secs(1.0)
+            || engine.servers[0].busy > 0
+            || engine.servers[0].queue.is_empty()
+        {
+            step(&mut engine);
+        }
+        let parked = engine.servers[0].queue.len();
+        engine.reconfigure(&d, specs.clone(), None, &mut parva_obs::NullSink);
+        let s = &engine.servers[0];
+        assert_eq!(s.queue.len(), parked, "the parked batch was re-routed");
+        let (head, _) = s.queue[0];
+        let deadline = head + s.batch_timeout;
+        assert!(engine.now() < deadline);
+        // Boundaries are 1 ms apart: the batch still waits at the last one
+        // before its deadline and has launched by the first one past it.
+        while engine.now() + SimTime(1_000) < deadline {
+            step(&mut engine);
+        }
+        assert_eq!(engine.servers[0].queue.front().map(|e| e.0), Some(head));
+        while engine.now() <= deadline {
+            step(&mut engine);
+        }
+        let s = &engine.servers[0];
+        assert_eq!(s.busy, 1, "no batch launched at the deadline");
+        assert!(
+            s.queue.iter().all(|&(t, _)| t >= deadline),
+            "parked requests still queued past their deadline"
         );
     }
 
