@@ -3,10 +3,10 @@
 //! The serving simulator records, once per completed run, how many events
 //! its queue processed, the peak pending-event depth, and the time spent
 //! inside the event loop — both wall-clock nanoseconds and *per-thread CPU*
-//! nanoseconds. Benchmarks (`perf_sweep`) reset these, drive a scenario,
-//! and read the aggregate back — the counters never influence simulation
-//! behaviour, so instrumented and uninstrumented runs produce identical
-//! reports.
+//! nanoseconds. Benchmarks (the `parva-bench` `ledger` bin) reset these,
+//! drive a scenario, and read the aggregate back — the counters never
+//! influence simulation behaviour, so instrumented and uninstrumented runs
+//! produce identical reports.
 //!
 //! All counters are process-global atomics: scoped-thread fan-outs (fleet
 //! probes, per-region serving) accumulate into the same totals. The wall
@@ -23,9 +23,9 @@ static PEAK_QUEUE: AtomicU64 = AtomicU64::new(0);
 static LOOP_NANOS: AtomicU64 = AtomicU64::new(0);
 static LOOP_CPU_NANOS: AtomicU64 = AtomicU64::new(0);
 
-/// Per-thread CPU clock. The only unsafe in the workspace: a direct
-/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)` FFI call (libc is always
-/// linked by std on Linux, so no new dependency). Gated to 64-bit Linux —
+/// Thread and process CPU clocks. The only unsafe in the workspace: a
+/// direct `clock_gettime` FFI call (libc is always linked by std on Linux,
+/// so no new dependency). Gated to 64-bit Linux —
 /// the hand-rolled `Timespec { i64, i64 }` matches the C `timespec` ABI
 /// only where `time_t` and `long` are 64-bit; other platforms report zero
 /// CPU time and keep the wall column.
@@ -38,22 +38,24 @@ mod cputime {
         tv_nsec: i64,
     }
 
+    /// `CLOCK_PROCESS_CPUTIME_ID` on Linux.
+    pub const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
     /// `CLOCK_THREAD_CPUTIME_ID` on Linux.
-    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    pub const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
 
     extern "C" {
         fn clock_gettime(clockid: i32, tp: *mut Timespec) -> i32;
     }
 
-    /// CPU nanoseconds consumed by the calling thread since it started.
-    pub fn thread_cpu_nanos() -> u64 {
+    /// Nanoseconds on CPU clock `clockid` (0 if the call fails).
+    pub fn cpu_nanos(clockid: i32) -> u64 {
         let mut ts = Timespec {
             tv_sec: 0,
             tv_nsec: 0,
         };
         // SAFETY: `ts` is a valid, writable Timespec matching the libc ABI;
         // clock_gettime only writes through the pointer.
-        let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
+        let rc = unsafe { clock_gettime(clockid, &mut ts) };
         if rc != 0 {
             return 0;
         }
@@ -64,10 +66,13 @@ mod cputime {
 
 #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
 mod cputime {
-    /// Unsupported platform: no per-thread CPU clock, callers fall back to
-    /// the wall column (a zero delta keeps the CPU counter at zero rather
-    /// than lying).
-    pub fn thread_cpu_nanos() -> u64 {
+    pub const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+    pub const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+
+    /// Unsupported platform: no CPU clocks, callers fall back to the wall
+    /// column (a zero delta keeps the CPU counter at zero rather than
+    /// lying).
+    pub fn cpu_nanos(_clockid: i32) -> u64 {
         0
     }
 }
@@ -77,7 +82,16 @@ mod cputime {
 /// a loop and record the difference via [`record_sim`].
 #[must_use]
 pub fn thread_cpu_nanos() -> u64 {
-    cputime::thread_cpu_nanos()
+    cputime::cpu_nanos(cputime::CLOCK_THREAD_CPUTIME_ID)
+}
+
+/// CPU nanoseconds consumed by every thread of the process so far,
+/// including exited scoped workers (0 where the platform has no process
+/// CPU clock). Unlike [`thread_cpu_nanos`], a reading around a call that
+/// fans out to worker threads bills their cycles too.
+#[must_use]
+pub fn process_cpu_nanos() -> u64 {
+    cputime::cpu_nanos(cputime::CLOCK_PROCESS_CPUTIME_ID)
 }
 
 /// Record one finished simulation run. `loop_nanos` is the wall-clock span
@@ -246,6 +260,31 @@ mod tests {
         assert!(
             after > before,
             "2M multiply-adds consumed no measurable CPU time"
+        );
+    }
+
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    #[test]
+    fn process_cpu_clock_bills_scoped_workers() {
+        let before = process_cpu_nanos();
+        let worker = std::thread::scope(|s| {
+            s.spawn(|| {
+                let cpu0 = thread_cpu_nanos();
+                let mut acc = 0u64;
+                for i in 0..2_000_000u64 {
+                    acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
+                }
+                assert!(acc != 42, "keep the work observable");
+                thread_cpu_nanos() - cpu0
+            })
+            .join()
+            .expect("worker finished")
+        });
+        let process = process_cpu_nanos() - before;
+        assert!(worker > 0, "the worker burned no measurable CPU");
+        assert!(
+            process >= worker,
+            "process clock {process} ns missed the worker's {worker} ns"
         );
     }
 

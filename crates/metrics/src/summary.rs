@@ -116,18 +116,11 @@ pub const MANIFEST: &[Artifact] = &[
 /// JSON performance artifacts listed (not tabulated — they are nested
 /// documents, not CSVs) at the end of the summary so the perf and
 /// observability trajectories are visible next to the paper figures.
-pub const PERF_ARTIFACTS: &[Artifact] = &[
-    Artifact {
-        file: "BENCH_des.json",
-        title: "DES engine throughput",
-        caption: "events and wall time per scenario scale (perf_sweep; wall gated in CI at 2x).",
-    },
-    Artifact {
-        file: "BENCH_obs.json",
-        title: "Observability overhead",
-        caption: "tracing-off vs tracing-on wall per engine (obs_overhead).",
-    },
-];
+pub const PERF_ARTIFACTS: &[Artifact] = &[Artifact {
+    file: "BENCH_ledger.json",
+    title: "Perf ledger",
+    caption: "median and IQR of CPU and wall per layer row (ledger; CPU gated in CI at 2x).",
+}];
 
 /// Render one CSV string as a markdown table (first line = header).
 #[must_use]
@@ -222,10 +215,10 @@ mod tests {
     fn summary_includes_present_and_lists_missing() {
         let dir = scratch_dir("mix");
         std::fs::write(dir.join("fig5_gpu_counts.csv"), "scenario,ParvaGPU\nS1,2\n").unwrap();
-        std::fs::write(dir.join("BENCH_obs.json"), "{}").unwrap();
+        std::fs::write(dir.join("BENCH_ledger.json"), "{}").unwrap();
         let summary = build_summary(&dir);
         assert!(summary.contains("## Performance artifacts"));
-        assert!(summary.contains("`BENCH_obs.json`"));
+        assert!(summary.contains("`BENCH_ledger.json`"));
         assert!(summary.contains("## Figure 5 — total GPUs"));
         assert!(summary.contains("| S1 | 2 |"));
         assert!(summary.contains("## Missing artifacts"));
